@@ -88,13 +88,6 @@ ServerLoadHint RemoteServer::load_hint() const {
   return hint;
 }
 
-Status RemoteServer::Issue(const Query& query, Response* response) {
-  std::vector<Response> responses;
-  Status s = IssueBatch({query}, &responses);
-  if (!responses.empty()) *response = std::move(responses[0]);
-  return s;
-}
-
 Status RemoteServer::IssueBatch(const std::vector<Query>& queries,
                                 std::vector<Response>* responses) {
   HDC_CHECK(responses != nullptr);

@@ -75,8 +75,6 @@ class RemoteServer : public HiddenDbServer {
                         const RemoteServerOptions& options,
                         std::unique_ptr<RemoteServer>* out);
 
-  Status Issue(const Query& query, Response* response) override;
-
   /// One wire round: the batch is pipelined whole, answers stream back in
   /// order. Keeps the prefix contract on every failure mode (see file
   /// header).

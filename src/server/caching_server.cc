@@ -9,46 +9,10 @@ CachingServer::CachingServer(HiddenDbServer* base, AnswerCacheOptions options)
     : ServerDecorator(base),
       cache_(std::make_shared<AnswerCache>(options)) {}
 
-CachingServer::CachingServer(std::unique_ptr<HiddenDbServer> base,
-                             AnswerCacheOptions options)
-    : ServerDecorator(std::move(base)),
-      cache_(std::make_shared<AnswerCache>(options)) {}
-
 CachingServer::CachingServer(HiddenDbServer* base,
                              std::shared_ptr<AnswerCache> cache)
     : ServerDecorator(base), cache_(std::move(cache)) {
   HDC_CHECK(cache_ != nullptr);
-}
-
-CachingServer::CachingServer(std::unique_ptr<HiddenDbServer> base,
-                             std::shared_ptr<AnswerCache> cache)
-    : ServerDecorator(std::move(base)), cache_(std::move(cache)) {
-  HDC_CHECK(cache_ != nullptr);
-}
-
-Status CachingServer::ForwardOne(const Query& query, bool revalidate,
-                                 Response* response) {
-  Status status = base_->Issue(query, response);
-  if (!status.ok()) return status;
-  ++forwarded_queries_;
-  if (revalidate) {
-    cache_->StoreRevalidation(query, *response, base_->db_version());
-  } else {
-    cache_->StoreMiss(query, *response, base_->db_version());
-  }
-  return Status::OK();
-}
-
-Status CachingServer::Issue(const Query& query, Response* response) {
-  switch (cache_->Probe(query, base_->db_version(), response, nullptr)) {
-    case AnswerCache::ProbeResult::kHit:
-      return Status::OK();
-    case AnswerCache::ProbeResult::kRevalidate:
-      return ForwardOne(query, /*revalidate=*/true, response);
-    case AnswerCache::ProbeResult::kMiss:
-      return ForwardOne(query, /*revalidate=*/false, response);
-  }
-  return Status::Internal("unreachable probe result");
 }
 
 Status CachingServer::IssueBatch(const std::vector<Query>& queries,

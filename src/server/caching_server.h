@@ -34,19 +34,13 @@ namespace hdc {
 
 class CachingServer : public ServerDecorator {
  public:
-  /// Owns its cache, configured by `options`. Borrowed/owned base follows
-  /// the decorator convention.
+  /// Owns its cache, configured by `options`. `base` is borrowed, as for
+  /// every decorator.
   CachingServer(HiddenDbServer* base, AnswerCacheOptions options = {});
-  CachingServer(std::unique_ptr<HiddenDbServer> base,
-                AnswerCacheOptions options = {});
 
   /// Shares an external cache (e.g. seeded from a prior crawl record by
   /// the delta-crawl driver, or shared across several client stacks).
   CachingServer(HiddenDbServer* base, std::shared_ptr<AnswerCache> cache);
-  CachingServer(std::unique_ptr<HiddenDbServer> base,
-                std::shared_ptr<AnswerCache> cache);
-
-  Status Issue(const Query& query, Response* response) override;
 
   /// Members answered from cache are filled locally; maximal runs of
   /// consecutive non-hit members are forwarded to the wrapped server as
@@ -65,10 +59,6 @@ class CachingServer : public ServerDecorator {
   uint64_t forwarded_queries() const { return forwarded_queries_; }
 
  private:
-  /// Issue() against the wrapped base plus cache bookkeeping for one
-  /// non-hit member.
-  Status ForwardOne(const Query& query, bool revalidate, Response* response);
-
   std::shared_ptr<AnswerCache> cache_;
   uint64_t forwarded_queries_ = 0;
 };

@@ -34,21 +34,6 @@ constexpr uint64_t kFrozenVersion = 0;
 
 }  // namespace
 
-Status ServerSession::Core::Issue(const Query& query, Response* response) {
-  AnswerCache* cache = session_->service_->answer_cache();
-  if (cache != nullptr &&
-      cache->Probe(query, kFrozenVersion, response, nullptr) ==
-          AnswerCache::ProbeResult::kHit) {
-    session_->Fold(StatsFor(*response));
-    return Status::OK();
-  }
-  QueryStats stats;
-  session_->index_->AnswerQuery(query, response, &session_->scratch_, &stats);
-  session_->Fold(stats);
-  if (cache != nullptr) cache->StoreMiss(query, *response, kFrozenVersion);
-  return Status::OK();
-}
-
 Status ServerSession::Core::IssueBatch(const std::vector<Query>& queries,
                                        std::vector<Response>* responses) {
   HDC_CHECK(responses != nullptr);
@@ -56,7 +41,7 @@ Status ServerSession::Core::IssueBatch(const std::vector<Query>& queries,
   if (cache == nullptr) {
     QueryStats stats;
     EvaluateBatch(*session_->index_, session_->pool_, queries, responses,
-                  &stats, session_->lane_);
+                  &stats, &session_->scratch_, session_->lane_);
     session_->Fold(stats);
     return Status::OK();
   }
@@ -78,7 +63,8 @@ Status ServerSession::Core::IssueBatch(const std::vector<Query>& queries,
     QueryStats stats;
     std::vector<Response> miss_responses;
     EvaluateBatch(*session_->index_, session_->pool_, miss_queries,
-                  &miss_responses, &stats, session_->lane_);
+                  &miss_responses, &stats, &session_->scratch_,
+                  session_->lane_);
     session_->Fold(stats);
     for (size_t j = 0; j < miss_indices.size(); ++j) {
       cache->StoreMiss(miss_queries[j], miss_responses[j], kFrozenVersion);
@@ -102,53 +88,44 @@ ServerSession::ServerSession(CrawlService* service, uint64_t id,
                                    : std::move(options.label)),
       weight_(options.weight),
       max_lane_parallelism_(options.max_lane_parallelism) {
-  // Compose the metering stack bottom-up. Order (bottom to top): evaluation
-  // core, observer, audit log, trace, budget, schema override — so a
-  // budget-refused query is neither logged nor traced (it never happened),
-  // matching the sequential BudgetServer(QueryLogServer(LocalServer))
-  // conversation.
-  std::unique_ptr<HiddenDbServer> stack = std::make_unique<Core>(this);
+  // Compose the metering stack bottom-up, each layer borrowing the one
+  // below it. Order (bottom to top): evaluation core, observer, audit log,
+  // budget, schema override — so a budget-refused query is neither logged
+  // nor observed (it never happened), matching the sequential
+  // BudgetServer(QueryLogServer(LocalServer)) conversation.
+  layers_.push_back(std::make_unique<Core>(this));
   if (options.observer) {
-    stack = std::make_unique<ObservedServer>(std::move(stack),
-                                             std::move(options.observer));
+    layers_.push_back(std::make_unique<ObservedServer>(
+        layers_.back().get(), std::move(options.observer)));
   }
   if (options.query_log != nullptr) {
-    auto log =
-        std::make_unique<QueryLogServer>(std::move(stack), options.query_log);
+    auto log = std::make_unique<QueryLogServer>(layers_.back().get(),
+                                                options.query_log);
     log_ = log.get();
-    stack = std::move(log);
-  }
-  if (options.keep_trace) {
-    auto counting =
-        std::make_unique<CountingServer>(std::move(stack), /*keep_trace=*/true);
-    counting_ = counting.get();
-    stack = std::move(counting);
+    layers_.push_back(std::move(log));
   }
   if (options.max_queries != kUnlimitedQueries) {
-    auto budget =
-        std::make_unique<BudgetServer>(std::move(stack), options.max_queries);
+    auto budget = std::make_unique<BudgetServer>(layers_.back().get(),
+                                                 options.max_queries);
     budget_ = budget.get();
-    stack = std::move(budget);
+    layers_.push_back(std::move(budget));
   }
   if (options.schema_override != nullptr) {
-    stack = std::make_unique<SchemaOverrideServer>(
-        std::move(stack), std::move(options.schema_override));
+    layers_.push_back(std::make_unique<SchemaOverrideServer>(
+        layers_.back().get(), std::move(options.schema_override)));
   }
-  top_ = std::move(stack);
 }
 
 ServerSession::~ServerSession() { service_->Retire(this); }
 
-Status ServerSession::Issue(const Query& query, Response* response) {
-  return top_->Issue(query, response);
-}
-
 Status ServerSession::IssueBatch(const std::vector<Query>& queries,
                                  std::vector<Response>* responses) {
-  return top_->IssueBatch(queries, responses);
+  return layers_.back()->IssueBatch(queries, responses);
 }
 
-const SchemaPtr& ServerSession::schema() const { return top_->schema(); }
+const SchemaPtr& ServerSession::schema() const {
+  return layers_.back()->schema();
+}
 
 void ServerSession::RefillBudget(uint64_t max_queries) {
   HDC_CHECK_MSG(budget_ != nullptr,
@@ -234,11 +211,6 @@ ServerLoadHint ServerSession::load_hint() const {
 
 WorkerPool::LaneStats ServerSession::lane_stats() const {
   return pool_ != nullptr ? pool_->lane_stats(lane_) : WorkerPool::LaneStats{};
-}
-
-const std::vector<QueryRecord>& ServerSession::trace() const {
-  static const std::vector<QueryRecord> kEmpty;
-  return counting_ != nullptr ? counting_->trace() : kEmpty;
 }
 
 // --- CrawlService -----------------------------------------------------------

@@ -10,7 +10,7 @@
 //   ------------                    ----------------------------
 //   shared LocalIndex (const)       per-session statistics
 //   shared WorkerPool               per-session query budget
-//   session minting + registry      per-session audit log + trace
+//   session minting + registry      per-session audit log + observer
 //   service-wide metrics            per-session scheduling lane
 //
 // A session is a full HiddenDbServer, so every crawler, decorator, and
@@ -74,7 +74,7 @@ struct CrawlServiceOptions {
   /// answered from the cache instead of re-evaluated. Billing is
   /// unchanged — a hit folds the same per-query statistics an evaluation
   /// would (evaluation is pure, so they are provably equal) — every
-  /// session's conversation, budget, log and trace are byte-identical
+  /// session's conversation, budget, log and observer are byte-identical
   /// with the cache on or off; only evaluation CPU is saved. The
   /// hit/miss counters surface in MetricsSnapshot and /metrics.
   bool enable_answer_cache = false;
@@ -112,9 +112,6 @@ struct SessionOptions {
   /// When set, the session presents this (compatible) schema instead of
   /// the index's — e.g. numeric bounds tightened by domain discovery.
   SchemaPtr schema_override;
-
-  /// Keep a compact per-query trace (CountingServer records).
-  bool keep_trace = false;
 
   /// Scheduling share of the service pool: this session's lane is dealt
   /// `weight` helper slots per round-robin cycle. Must be >= 1. Purely a
@@ -178,7 +175,7 @@ struct CrawlServiceMetrics {
 };
 
 /// One crawl's private handle onto a CrawlService: a HiddenDbServer whose
-/// conversation state (statistics, budget, log, trace) belongs to this
+/// conversation state (statistics, budget, log, observer) belongs to this
 /// session alone, while evaluation runs against the service's shared
 /// immutable index and worker pool — on this session's own lane.
 class ServerSession : public HiddenDbServer {
@@ -187,7 +184,6 @@ class ServerSession : public HiddenDbServer {
   ServerSession(const ServerSession&) = delete;
   ServerSession& operator=(const ServerSession&) = delete;
 
-  Status Issue(const Query& query, Response* response) override;
   Status IssueBatch(const std::vector<Query>& queries,
                     std::vector<Response>* responses) override;
   uint64_t k() const override { return index_->k(); }
@@ -256,9 +252,6 @@ class ServerSession : public HiddenDbServer {
   /// service runs without a pool, i.e. max_parallelism == 1).
   WorkerPool::LaneStats lane_stats() const;
 
-  /// Per-query records (empty unless SessionOptions::keep_trace).
-  const std::vector<QueryRecord>& trace() const;
-
   /// Lines written to the audit log so far (0 without a query_log).
   uint64_t logged() const { return log_ != nullptr ? log_->logged() : 0; }
 
@@ -270,7 +263,6 @@ class ServerSession : public HiddenDbServer {
   class Core : public HiddenDbServer {
    public:
     explicit Core(ServerSession* session) : session_(session) {}
-    Status Issue(const Query& query, Response* response) override;
     Status IssueBatch(const std::vector<Query>& queries,
                       std::vector<Response>* responses) override;
     uint64_t k() const override { return session_->index_->k(); }
@@ -305,11 +297,10 @@ class ServerSession : public HiddenDbServer {
   unsigned max_lane_parallelism_;
 
   /// The session's metering stack, bottom (Core) to top, composed from
-  /// SessionOptions at creation; `top_` is the entry point, the raw
-  /// pointers below alias layers inside the owned chain.
-  std::unique_ptr<HiddenDbServer> top_;
+  /// SessionOptions at creation; each layer borrows the one below it and
+  /// back() is the entry point. The raw pointers below alias its layers.
+  std::vector<std::unique_ptr<HiddenDbServer>> layers_;
   BudgetServer* budget_ = nullptr;
-  CountingServer* counting_ = nullptr;
   QueryLogServer* log_ = nullptr;
 
   EvalScratch scratch_;

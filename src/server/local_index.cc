@@ -954,15 +954,15 @@ void LocalIndex::AnswerQuery(const Query& query, Response* response,
 void EvaluateBatch(const LocalIndex& index, WorkerPool* pool,
                    const std::vector<Query>& queries,
                    std::vector<Response>* responses, QueryStats* stats,
-                   uint64_t lane) {
+                   EvalScratch* scratch, uint64_t lane) {
   HDC_CHECK(responses != nullptr);
   HDC_CHECK(stats != nullptr);
   const size_t n = queries.size();
   responses->assign(n, Response{});
   if (pool == nullptr || pool->threads() == 0 || n <= 1) {
-    EvalScratch scratch;
     for (size_t i = 0; i < n; ++i) {
-      index.AnswerQuery(queries[i], &(*responses)[i], &scratch, stats);
+      index.AnswerQuery(queries[i], &(*responses)[i], scratch, stats);
+      scratch->TrimAfterBatch();
     }
     return;
   }

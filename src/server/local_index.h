@@ -117,8 +117,8 @@ struct EvalScratch {
   static constexpr size_t kRetainIds = size_t{1} << 16;
 
   /// Shrinks oversized buffers back to the retention cap. Called by
-  /// EvaluateBatch after each pooled member so an overflow-heavy round
-  /// cannot pin peak-size scratch on every worker thread forever.
+  /// EvaluateBatch after each member so an overflow-heavy round cannot pin
+  /// peak-size scratch on every worker thread (or conversation) forever.
   /// (range_words/block_epoch are bounded by the dataset size and kept.)
   void TrimAfterBatch() {
     if (ids.capacity() > kRetainIds) {
@@ -322,17 +322,19 @@ class LocalIndex {
 };
 
 /// Evaluates `queries` against `index`, fanning members across `pool` when
-/// one is supplied (nullptr or a 0-thread pool evaluates inline on the
-/// calling thread). `responses` is parallel to `queries`; `stats` receives
-/// the whole batch's deltas after all members finish. Responses and
-/// statistics are identical either way — evaluation is pure given the
-/// index. Thread-safe: concurrent calls against one index (even one pool)
-/// are independent. `lane` is the WorkerPool::LaneId the batch's loop is
+/// one is supplied (nullptr or a 0-thread pool, or a batch of at most one
+/// member, evaluates inline on the calling thread with the caller's
+/// `scratch`, trimmed after every member). `responses` is parallel to
+/// `queries`; `stats` receives the whole batch's deltas after all members
+/// finish. Responses and statistics are identical either way — evaluation
+/// is pure given the index. Thread-safe: concurrent calls against one
+/// index (even one pool) are independent as long as each brings its own
+/// `scratch`. `lane` is the WorkerPool::LaneId the batch's loop is
 /// submitted on (0 = the pool's default lane); per-session lanes are how
 /// CrawlService keeps concurrent crawls from starving each other.
 void EvaluateBatch(const LocalIndex& index, WorkerPool* pool,
                    const std::vector<Query>& queries,
                    std::vector<Response>* responses, QueryStats* stats,
-                   uint64_t lane = 0);
+                   EvalScratch* scratch, uint64_t lane = 0);
 
 }  // namespace hdc

@@ -34,20 +34,11 @@ void LocalServer::ResetStats() {
   overflow_count_ = 0;
 }
 
-Status LocalServer::Issue(const Query& query, Response* response) {
-  QueryStats stats;
-  index_->AnswerQuery(query, response, &scratch_, &stats);
-  queries_served_ += stats.queries;
-  tuples_returned_ += stats.tuples;
-  overflow_count_ += stats.overflows;
-  return Status::OK();
-}
-
 Status LocalServer::IssueBatch(const std::vector<Query>& queries,
                                std::vector<Response>* responses) {
   HDC_CHECK(responses != nullptr);
   QueryStats stats;
-  EvaluateBatch(*index_, pool_.get(), queries, responses, &stats);
+  EvaluateBatch(*index_, pool_.get(), queries, responses, &stats, &scratch_);
   queries_served_ += stats.queries;
   tuples_returned_ += stats.tuples;
   overflow_count_ += stats.overflows;

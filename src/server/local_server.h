@@ -60,8 +60,6 @@ class LocalServer : public HiddenDbServer {
 
   ~LocalServer() override;  // out of line: WorkerPool is forward-declared
 
-  Status Issue(const Query& query, Response* response) override;
-
   /// Native batch execution: members are independent lookups, dealt across
   /// the worker pool (up to max_parallelism threads in total). Responses
   /// and statistics match the sequential conversation exactly.
@@ -107,7 +105,8 @@ class LocalServer : public HiddenDbServer {
   /// lane); null when max_parallelism == 1.
   std::unique_ptr<WorkerPool> pool_;
 
-  /// Issue-path scratch; IssueBatch workers use their own.
+  /// Scratch for batches evaluated on the calling thread (no pool, or a
+  /// single member); pooled members use per-worker scratch.
   EvalScratch scratch_;
 
   uint64_t queries_served_ = 0;

@@ -124,16 +124,22 @@ void MutatingLocalServer::FireDueBursts() {
   }
 }
 
-Status MutatingLocalServer::Issue(const Query& query, Response* response) {
-  FireDueBursts();
-  QueryStats stats;
-  index_->AnswerQuery(query, response, &scratch_, &stats);
-  // LocalIndex reports row positions; translate to ids that survive
-  // mutations.
-  for (ReturnedTuple& rt : response->tuples) {
-    rt.hidden_id = rows_[rt.hidden_id].stable_id;
+Status MutatingLocalServer::IssueBatch(const std::vector<Query>& queries,
+                                       std::vector<Response>* responses) {
+  HDC_CHECK(responses != nullptr);
+  responses->assign(queries.size(), Response{});
+  for (size_t i = 0; i < queries.size(); ++i) {
+    FireDueBursts();
+    Response& response = (*responses)[i];
+    QueryStats stats;
+    index_->AnswerQuery(queries[i], &response, &scratch_, &stats);
+    // LocalIndex reports row positions; translate to ids that survive
+    // mutations.
+    for (ReturnedTuple& rt : response.tuples) {
+      rt.hidden_id = rows_[rt.hidden_id].stable_id;
+    }
+    ++queries_served_;
   }
-  ++queries_served_;
   return Status::OK();
 }
 

@@ -65,10 +65,11 @@ class MutatingLocalServer : public HiddenDbServer {
   MutatingLocalServer(std::shared_ptr<const Dataset> initial, uint64_t k,
                       uint64_t priority_seed = 7);
 
-  Status Issue(const Query& query, Response* response) override;
-  // IssueBatch: inherited sequential fallback — member-by-member, so a
-  // scheduled burst firing mid-batch behaves exactly as in the sequential
-  // conversation.
+  /// Answers members one at a time, firing any due burst before each, so
+  /// a burst scheduled mid-batch lands between the same two members as in
+  /// a conversation of one-member batches.
+  Status IssueBatch(const std::vector<Query>& queries,
+                    std::vector<Response>* responses) override;
 
   uint64_t k() const override { return k_; }
   const SchemaPtr& schema() const override { return schema_; }

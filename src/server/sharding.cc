@@ -82,11 +82,9 @@ std::shared_ptr<const LocalIndex> ShardPlan::BuildShardIndex(
 
 ShardedServer::ShardedServer(
     std::vector<ShardBackend> shards,
-    std::shared_ptr<const std::vector<uint64_t>> global_priorities,
-    ShardedServerOptions options)
+    std::shared_ptr<const std::vector<uint64_t>> global_priorities)
     : shards_(std::move(shards)),
-      global_priorities_(std::move(global_priorities)),
-      options_(options) {
+      global_priorities_(std::move(global_priorities)) {
   HDC_CHECK_MSG(!shards_.empty(), "a sharded server needs >= 1 backend");
   HDC_CHECK(global_priorities_ != nullptr);
   for (const ShardBackend& shard : shards_) {
@@ -108,7 +106,7 @@ ShardedServer::ShardedServer(
 }
 
 std::unique_ptr<ShardedServer> ShardedServer::OverPlan(
-    const ShardPlan& plan, IndexEngine engine, ShardedServerOptions options) {
+    const ShardPlan& plan, IndexEngine engine) {
   std::vector<ShardBackend> backends;
   backends.reserve(plan.num_shards());
   for (size_t s = 0; s < plan.num_shards(); ++s) {
@@ -121,17 +119,7 @@ std::unique_ptr<ShardedServer> ShardedServer::OverPlan(
     backends.push_back(std::move(backend));
   }
   return std::make_unique<ShardedServer>(std::move(backends),
-                                         plan.shared_global_priorities(),
-                                         options);
-}
-
-Status ShardedServer::Issue(const Query& query, Response* response) {
-  HDC_CHECK(response != nullptr);
-  std::vector<Response> responses;
-  Status s = IssueBatch({query}, &responses);
-  if (!s.ok()) return s;
-  *response = std::move(responses[0]);
-  return Status::OK();
+                                         plan.shared_global_priorities());
 }
 
 Status ShardedServer::IssueBatch(const std::vector<Query>& queries,
@@ -148,22 +136,15 @@ Status ShardedServer::IssueBatch(const std::vector<Query>& queries,
   std::vector<std::vector<Response>> gathered(num_shards);
   std::vector<Status> statuses(num_shards, Status::OK());
 
-  if (options_.parallel_scatter && num_shards > 1) {
-    std::vector<std::thread> scatter;
-    scatter.reserve(num_shards - 1);
-    for (size_t s = 1; s < num_shards; ++s) {
-      scatter.emplace_back([this, s, &queries, &gathered, &statuses] {
-        statuses[s] =
-            shards_[s].server->IssueBatch(queries, &gathered[s]);
-      });
-    }
-    statuses[0] = shards_[0].server->IssueBatch(queries, &gathered[0]);
-    for (std::thread& t : scatter) t.join();
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) {
+  std::vector<std::thread> scatter;
+  scatter.reserve(num_shards - 1);
+  for (size_t s = 1; s < num_shards; ++s) {
+    scatter.emplace_back([this, s, &queries, &gathered, &statuses] {
       statuses[s] = shards_[s].server->IssueBatch(queries, &gathered[s]);
-    }
+    });
   }
+  statuses[0] = shards_[0].server->IssueBatch(queries, &gathered[0]);
+  for (std::thread& t : scatter) t.join();
 
   // Gather: the merged prefix ends at the first member some shard could
   // not answer. Per-shard accounting records what each backend really did,

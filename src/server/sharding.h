@@ -145,15 +145,6 @@ struct ShardBackend {
   std::vector<uint64_t> global_ids;
 };
 
-struct ShardedServerOptions {
-  /// Scatter each round to the shards on parallel threads (one per extra
-  /// shard; the calling thread takes shard 0). Indispensable for remote
-  /// shards — sequential scatter would serialize N wire round-trips —
-  /// and harmless in-process. false scatters sequentially (deterministic
-  /// single-threaded mode for debugging).
-  bool parallel_scatter = true;
-};
-
 /// Cumulative per-shard accounting of one ShardedServer conversation.
 struct ShardStats {
   /// Batch members this shard answered (incl. members a later-failing
@@ -168,8 +159,9 @@ struct ShardStats {
 };
 
 /// The scatter-gather HiddenDbServer over N shard backends. Single
-/// conversation, like every server; the scatter threads live only inside
-/// one IssueBatch call.
+/// conversation, like every server; the scatter threads (one per shard
+/// beyond the first, which runs on the calling thread — so remote shards'
+/// wire round-trips overlap) live only inside one IssueBatch call.
 class ShardedServer : public HiddenDbServer {
  public:
   /// `shards` must all present the same k and schema (checked); every
@@ -177,16 +169,13 @@ class ShardedServer : public HiddenDbServer {
   /// into `global_priorities`. The convenience factories below build the
   /// common stacks.
   ShardedServer(std::vector<ShardBackend> shards,
-                std::shared_ptr<const std::vector<uint64_t>> global_priorities,
-                ShardedServerOptions options = {});
+                std::shared_ptr<const std::vector<uint64_t>> global_priorities);
 
   /// In-process sharding over a plan: one LocalServer per shard, each on
   /// its shard index under the global ranking.
   static std::unique_ptr<ShardedServer> OverPlan(
-      const ShardPlan& plan, IndexEngine engine = IndexEngine::kBitmap,
-      ShardedServerOptions options = {});
+      const ShardPlan& plan, IndexEngine engine = IndexEngine::kBitmap);
 
-  Status Issue(const Query& query, Response* response) override;
   Status IssueBatch(const std::vector<Query>& queries,
                     std::vector<Response>* responses) override;
 
@@ -222,7 +211,6 @@ class ShardedServer : public HiddenDbServer {
 
   std::vector<ShardBackend> shards_;
   std::shared_ptr<const std::vector<uint64_t>> global_priorities_;
-  ShardedServerOptions options_;
   uint64_t k_ = 0;
   SchemaPtr schema_;
 

@@ -155,26 +155,25 @@ TEST(CrawlServiceTest, SessionBudgetInterruptsAndRefills) {
   EXPECT_EQ(unmetered->budget_remaining(), kUnlimitedQueries);
 }
 
-TEST(CrawlServiceTest, SessionTraceAndObserver) {
+TEST(CrawlServiceTest, SessionObserverSeesEveryAnsweredQuery) {
   auto data = CategoricalData();
   const uint64_t k = std::max<uint64_t>(8, data->MaxPointMultiplicity());
   CrawlService service(data, k);
 
   uint64_t observed = 0;
   SessionOptions options;
-  options.keep_trace = true;
   options.observer = [&observed](const Query&, const Response&) {
     ++observed;
   };
-  options.label = "traced";
+  options.label = "observed";
   auto session = service.CreateSession(options);
-  EXPECT_EQ(session->label(), "traced");
+  EXPECT_EQ(session->label(), "observed");
 
   DfsCrawler dfs;
   CrawlResult result = dfs.Crawl(session.get());
   ASSERT_TRUE(result.status.ok());
-  EXPECT_EQ(session->trace().size(), result.queries_issued);
   EXPECT_EQ(observed, result.queries_issued);
+  EXPECT_EQ(session->queries_served(), result.queries_issued);
 }
 
 TEST(CrawlServiceTest, SchemaOverrideSessionCrawlsTheNarrowedView) {

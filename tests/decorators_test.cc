@@ -32,18 +32,23 @@ TEST(CountingServerTest, CountsForwardedQueries) {
   EXPECT_EQ(counting.queries(), 0u);
 }
 
-TEST(CountingServerTest, TraceRecordsOutcomes) {
+TEST(CountingServerTest, ObserverSeesEachCountedOutcome) {
   LocalServer base(TinyData(), 4);
-  CountingServer counting(&base, /*keep_trace=*/true);
+  std::vector<Response> seen;
+  ObservedServer observed(&base, [&seen](const Query&, const Response& resp) {
+    seen.push_back(resp);
+  });
+  CountingServer counting(&observed);
   Response r;
   Query full = Query::FullSpace(base.schema());
   ASSERT_TRUE(counting.Issue(full, &r).ok());                            // overflow
   ASSERT_TRUE(counting.Issue(full.WithNumericRange(0, 0, 10), &r).ok()); // 3 tuples
-  ASSERT_EQ(counting.trace().size(), 2u);
-  EXPECT_FALSE(counting.trace()[0].resolved);
-  EXPECT_EQ(counting.trace()[0].returned, 4u);
-  EXPECT_TRUE(counting.trace()[1].resolved);
-  EXPECT_EQ(counting.trace()[1].returned, 3u);
+  EXPECT_EQ(counting.queries(), 2u);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_FALSE(seen[0].resolved());
+  EXPECT_EQ(seen[0].size(), 4u);
+  EXPECT_TRUE(seen[1].resolved());
+  EXPECT_EQ(seen[1].size(), 3u);
 }
 
 TEST(BudgetServerTest, ExhaustsAndRefills) {
@@ -115,17 +120,21 @@ TEST(BatchContractTest, SingleElementBatchEqualsIssue) {
 
 TEST(CountingServerTest, BatchCountsPerMember) {
   LocalServer base(TinyData(), 4);
-  CountingServer counting(&base, /*keep_trace=*/true);
+  std::vector<Response> seen;
+  ObservedServer observed(&base, [&seen](const Query&, const Response& resp) {
+    seen.push_back(resp);
+  });
+  CountingServer counting(&observed);
   std::vector<Response> responses;
   ASSERT_TRUE(
       counting.IssueBatch(ThreeDisjointRanges(base.schema()), &responses)
           .ok());
   EXPECT_EQ(counting.queries(), 3u);
-  ASSERT_EQ(counting.trace().size(), 3u);
-  // Trace records appear in issue order: member i describes responses[i].
+  ASSERT_EQ(seen.size(), 3u);
+  // Observed members appear in issue order: member i is responses[i].
   for (size_t i = 0; i < responses.size(); ++i) {
-    EXPECT_EQ(counting.trace()[i].resolved, responses[i].resolved());
-    EXPECT_EQ(counting.trace()[i].returned, responses[i].size());
+    EXPECT_EQ(seen[i].resolved(), responses[i].resolved());
+    EXPECT_EQ(seen[i].size(), responses[i].size());
   }
 }
 
@@ -330,7 +339,7 @@ TEST(BatchContractTest, StackedDecoratorsComposeOverBatches) {
   LocalServer base(TinyData(), 4);
   std::ostringstream log;
   QueryLogServer logged(&base, &log);
-  CountingServer counting(&logged, /*keep_trace=*/true);
+  CountingServer counting(&logged);
   BudgetServer budget(&counting, /*max_queries=*/2);
 
   std::vector<Response> responses;

@@ -213,6 +213,58 @@ TEST(MutatingServerTest, RejectsTuplesOutsideTheSchemaDomains) {
   EXPECT_EQ(server.db_version(), 2u);
 }
 
+TEST(MutatingServerTest, BatchFiresScheduledBurstBetweenTheSameMembers) {
+  // A burst due after two queries must land between members 1 and 2 of a
+  // four-member batch, exactly where a conversation of one-member batches
+  // sees it: answers, served count and the data version all agree.
+  const Query full = Query::FullSpace(TinyData()->schema());
+  const Query low = full.WithNumericRange(0, 0, 10);
+  const std::vector<Query> batch = {low, full, low, full};
+  auto make = [] {
+    auto server = std::make_unique<MutatingLocalServer>(TinyData(), 4);
+    server->ScheduleAt(2, {Mutation::Insert(Tuple({7})), Mutation::Delete(1)});
+    return server;
+  };
+
+  auto sequential = make();
+  std::vector<Response> want;
+  std::vector<uint64_t> want_versions;  // after each member
+  for (const Query& query : batch) {
+    Response response;
+    ASSERT_TRUE(sequential->Issue(query, &response).ok());
+    want.push_back(std::move(response));
+    want_versions.push_back(sequential->db_version());
+  }
+  ASSERT_EQ(want_versions, (std::vector<uint64_t>{1, 1, 2, 2}));
+
+  auto batched = make();
+  std::vector<Response> got;
+  ASSERT_TRUE(batched->IssueBatch(batch, &got).ok());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(HashResponse(got[i]), HashResponse(want[i])) << "member " << i;
+  }
+  EXPECT_EQ(batched->queries_served(), sequential->queries_served());
+  EXPECT_EQ(batched->db_version(), sequential->db_version());
+  // The burst landed mid-batch: member 2 repeats member 0's query but sees
+  // the mutated rows.
+  EXPECT_NE(HashResponse(got[0]), HashResponse(got[2]));
+
+  // The version after each member: a batch of the first m members leaves
+  // the version the one-member conversation had after member m.
+  for (size_t m = 1; m <= batch.size(); ++m) {
+    auto prefix_server = make();
+    std::vector<Response> prefix;
+    ASSERT_TRUE(prefix_server
+                    ->IssueBatch(std::vector<Query>(batch.begin(),
+                                                    batch.begin() + m),
+                                 &prefix)
+                    .ok());
+    EXPECT_EQ(prefix_server->db_version(), want_versions[m - 1])
+        << "after member " << m;
+  }
+}
+
 TEST(BuildCrawlRecordTest, OverflowingPointIsUnsolvable) {
   SchemaPtr schema = Schema::NumericBounded({{0, 10}});
   auto d = std::make_shared<Dataset>(schema);

@@ -20,25 +20,28 @@ namespace {
 
 /// FlakyServer's transport-layer sibling: every `period`-th attempt fails
 /// with kUnavailable *before* reaching the wrapped server, like a dropped
-/// loopback connection. Sequential-only (Issue path) — batch semantics are
-/// covered by the real transport in remote_transport_test.cc.
+/// loopback connection. Members are attempted one at a time, which keeps
+/// the per-attempt counting exact — batch semantics are covered by the real
+/// transport in remote_transport_test.cc.
 class OutageServer : public ServerDecorator {
  public:
   OutageServer(HiddenDbServer* base, uint64_t period)
       : ServerDecorator(base), period_(period) {}
 
-  Status Issue(const Query& query, Response* response) override {
-    ++attempts_;
-    if (period_ > 0 && attempts_ % period_ == 0) {
-      return Status::Unavailable("simulated transport outage");
-    }
-    return base_->Issue(query, response);
-  }
-
   Status IssueBatch(const std::vector<Query>& queries,
                     std::vector<Response>* responses) override {
-    // Sequential fallback keeps the per-attempt counting exact.
-    return HiddenDbServer::IssueBatch(queries, responses);
+    responses->clear();
+    for (const Query& query : queries) {
+      ++attempts_;
+      if (period_ > 0 && attempts_ % period_ == 0) {
+        return Status::Unavailable("simulated transport outage");
+      }
+      Response response;
+      Status s = base_->Issue(query, &response);
+      if (!s.ok()) return s;
+      responses->push_back(std::move(response));
+    }
+    return Status::OK();
   }
 
   uint64_t attempts() const { return attempts_; }

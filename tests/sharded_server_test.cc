@@ -389,19 +389,14 @@ TEST(ShardedFaultTest, ShardFailingMidRoundLeavesValidMergedPrefix) {
   ShardPlan plan = ShardPlan::Partition(data, k, nullptr, options);
 
   // Shard 1 runs behind a 3-query budget: it answers three members of the
-  // scattered round, then fails with ResourceExhausted.
-  std::vector<ShardBackend> backends;
+  // scattered round, then fails with ResourceExhausted. The budget borrows
+  // `shard1`, which outlives the sharded server.
+  LocalServer shard1(plan.BuildShardIndex(1));
+  std::vector<ShardBackend> backends(2);
+  backends[0].server = std::make_unique<LocalServer>(plan.BuildShardIndex(0));
+  backends[1].server = std::make_unique<BudgetServer>(&shard1, /*budget=*/3);
   for (size_t s = 0; s < 2; ++s) {
-    ShardBackend backend;
-    auto local = std::make_unique<LocalServer>(plan.BuildShardIndex(s));
-    if (s == 1) {
-      backend.server =
-          std::make_unique<BudgetServer>(std::move(local), /*budget=*/3);
-    } else {
-      backend.server = std::move(local);
-    }
-    backend.global_ids = plan.shard_global_ids(s);
-    backends.push_back(std::move(backend));
+    backends[s].global_ids = plan.shard_global_ids(s);
   }
   ShardedServer sharded(std::move(backends),
                         plan.shared_global_priorities());

@@ -28,6 +28,9 @@ Rules
                      written as a bare expression statement, is an ignored
                      error. Backstops [[nodiscard]] for compilers that do
                      not diagnose the class-level attribute.
+  issue-path         no server overrides Issue(): IssueBatch is the one
+                     entry point a HiddenDbServer implements, and Issue is
+                     server.h's one-member wrapper around it.
 
 Exit status: 0 clean, 1 violations found, 2 usage error.
 """
@@ -102,6 +105,12 @@ NON_STATUS_DECL_RE = re.compile(
 CALL_STMT_RE = re.compile(
     r"^\s*(?:[A-Za-z_]\w*(?:\s*(?:\.|->|::)\s*[A-Za-z_]\w*)*\s*(?:\.|->|::)\s*)?"
     r"([A-Za-z_]\w*)\s*\(.*\)\s*;\s*$")
+
+# An override of the one-member wrapper, `Issue(<params>) [const] override`,
+# possibly spread over several lines. `\bIssue\s*\(` never matches
+# IssueBatch, and a call (`base_->Issue(q, r);`) never reaches `override`.
+ISSUE_OVERRIDE_RE = re.compile(
+    r"\bIssue\s*\([^;{}]*\)\s*(?:const\s*)?override\b")
 
 CPP_SUFFIXES = (".h", ".hpp", ".cc", ".cpp", ".cxx")
 
@@ -257,6 +266,15 @@ def check_status_discard(rel, lines, status_names, findings):
             "propagate it, or cast to (void) for a best-effort call" % name))
 
 
+def check_issue_override(rel, stripped, findings):
+    for m in ISSUE_OVERRIDE_RE.finditer(stripped):
+        lineno = stripped.count("\n", 0, m.start()) + 1
+        findings.append((
+            rel, lineno, "issue-path",
+            "Issue(...) override is forbidden (issue-path): implement "
+            "IssueBatch; Issue is server.h's one-member wrapper"))
+
+
 # --- driver -----------------------------------------------------------------
 
 def gather_files(root):
@@ -296,6 +314,7 @@ def run(root):
                            findings)
         check_includes(rel, raw.split("\n"), lines, findings)
         check_status_discard(rel, lines, status_names, findings)
+        check_issue_override(rel, stripped, findings)
     return findings
 
 

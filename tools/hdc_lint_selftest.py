@@ -166,6 +166,28 @@ def main():
          "src/net/ok.cc": "void F(B* b) {\n  b->Close();\n}\n"},
         [], forbid_rules=["status-discard"])
 
+    # --- issue-path ---------------------------------------------------------
+    scenario(
+        "issue-path: an Issue override over two lines is flagged",
+        {"src/server/bad.h":
+         "class S : public HiddenDbServer {\n"
+         "  Status Issue(const Query& query,\n"
+         "               Response* response) override;\n"
+         "};\n"},
+        ["issue-path"])
+    scenario(
+        "issue-path: IssueBatch overrides, Issue calls and comments are fine",
+        {"src/server/ok.h":
+         "class S : public ServerDecorator {\n"
+         "  // Status Issue(const Query& q, Response* r) override;\n"
+         "  Status IssueBatch(const std::vector<Query>& queries,\n"
+         "                    std::vector<Response>* responses) override;\n"
+         "  Status One(const Query& q, Response* r) {\n"
+         "    return base_->Issue(q, r);\n"
+         "  }\n"
+         "};\n"},
+        [], forbid_rules=["issue-path"])
+
     # --- multi-rule tree ----------------------------------------------------
     scenario(
         "all five rules fire together",
