@@ -2,7 +2,6 @@
 #include "server/sharding.h"
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 
 #include "util/macros.h"
@@ -103,6 +102,10 @@ ShardedServer::ShardedServer(
     }
   }
   stats_.resize(shards_.size());
+  gathered_.resize(shards_.size());
+  statuses_.resize(shards_.size());
+  scatter_pool_ = std::make_unique<WorkerPool>(
+      static_cast<unsigned>(shards_.size() - 1));
 }
 
 std::unique_ptr<ShardedServer> ShardedServer::OverPlan(
@@ -130,21 +133,14 @@ Status ShardedServer::IssueBatch(const std::vector<Query>& queries,
   if (queries.empty()) return Status::OK();
 
   // Scatter: the whole round goes to every shard (rows are partitioned, so
-  // every shard may hold matches for any member). Shard 0 runs on the
-  // calling thread; the rest on their own scatter threads for the round.
+  // every shard may hold matches for any member). One ParallelFor item per
+  // shard on the server's own pool; the calling thread claims items too.
+  // The per-shard answer slots are emptied, not reallocated, each round.
   const size_t num_shards = shards_.size();
-  std::vector<std::vector<Response>> gathered(num_shards);
-  std::vector<Status> statuses(num_shards, Status::OK());
-
-  std::vector<std::thread> scatter;
-  scatter.reserve(num_shards - 1);
-  for (size_t s = 1; s < num_shards; ++s) {
-    scatter.emplace_back([this, s, &queries, &gathered, &statuses] {
-      statuses[s] = shards_[s].server->IssueBatch(queries, &gathered[s]);
-    });
-  }
-  statuses[0] = shards_[0].server->IssueBatch(queries, &gathered[0]);
-  for (std::thread& t : scatter) t.join();
+  for (std::vector<Response>& slot : gathered_) slot.clear();
+  scatter_pool_->ParallelFor(num_shards, [this, &queries](size_t s) {
+    statuses_[s] = shards_[s].server->IssueBatch(queries, &gathered_[s]);
+  });
 
   // Gather: the merged prefix ends at the first member some shard could
   // not answer. Per-shard accounting records what each backend really did,
@@ -152,22 +148,23 @@ Status ShardedServer::IssueBatch(const std::vector<Query>& queries,
   size_t prefix = queries.size();
   Status batch_status = Status::OK();
   for (size_t s = 0; s < num_shards; ++s) {
-    stats_[s].members_answered += gathered[s].size();
-    if (!statuses[s].ok()) ++stats_[s].failures;
-    HDC_CHECK_MSG(gathered[s].size() <= queries.size(),
+    stats_[s].members_answered += gathered_[s].size();
+    if (!statuses_[s].ok()) ++stats_[s].failures;
+    HDC_CHECK_MSG(gathered_[s].size() <= queries.size(),
                   "shard answered more members than scattered");
-    HDC_CHECK_MSG(statuses[s].ok() == (gathered[s].size() == queries.size()),
-                  "shard batch status inconsistent with answered prefix");
-    if (gathered[s].size() < prefix) {
-      prefix = gathered[s].size();
-      batch_status = statuses[s];
+    HDC_CHECK_MSG(
+        statuses_[s].ok() == (gathered_[s].size() == queries.size()),
+        "shard batch status inconsistent with answered prefix");
+    if (gathered_[s].size() < prefix) {
+      prefix = gathered_[s].size();
+      batch_status = statuses_[s];
     }
   }
 
   responses->reserve(prefix);
   for (size_t member = 0; member < prefix; ++member) {
     Response merged;
-    Status s = MergeMember(gathered, member, &merged);
+    Status s = MergeMember(member, &merged);
     if (!s.ok()) {
       // A corrupt shard reply: the members merged so far are valid, the
       // rest of the round is not.
@@ -179,9 +176,7 @@ Status ShardedServer::IssueBatch(const std::vector<Query>& queries,
   return batch_status;
 }
 
-Status ShardedServer::MergeMember(
-    std::vector<std::vector<Response>>& gathered, size_t member,
-    Response* out) {
+Status ShardedServer::MergeMember(size_t member, Response* out) {
   const std::vector<uint64_t>& priorities = *global_priorities_;
 
   // Per-shard candidate counts decide the merged overflow flag: a resolved
@@ -193,8 +188,8 @@ Status ShardedServer::MergeMember(
   uint64_t candidates = 0;
   bool shard_overflow = false;
   merge_scratch_.clear();
-  for (size_t s = 0; s < gathered.size(); ++s) {
-    Response& shard_response = gathered[s][member];
+  for (size_t s = 0; s < gathered_.size(); ++s) {
+    Response& shard_response = gathered_[s][member];
     const std::vector<uint64_t>& global_ids = shards_[s].global_ids;
     candidates += shard_response.tuples.size();
     shard_overflow |= shard_response.overflow;
@@ -237,7 +232,7 @@ Status ShardedServer::MergeMember(
   out->tuples.clear();
   out->tuples.reserve(merge_scratch_.size());
   for (const MergeEntry& entry : merge_scratch_) {
-    ReturnedTuple& rt = gathered[entry.shard][member].tuples[entry.slot];
+    ReturnedTuple& rt = gathered_[entry.shard][member].tuples[entry.slot];
     out->tuples.push_back(
         ReturnedTuple{std::move(rt.tuple), entry.global_id});
   }

@@ -63,6 +63,7 @@
 #include "server/local_index.h"
 #include "server/local_server.h"
 #include "server/server.h"
+#include "util/worker_pool.h"
 
 namespace hdc {
 
@@ -159,9 +160,12 @@ struct ShardStats {
 };
 
 /// The scatter-gather HiddenDbServer over N shard backends. Single
-/// conversation, like every server; the scatter threads (one per shard
-/// beyond the first, which runs on the calling thread — so remote shards'
-/// wire round-trips overlap) live only inside one IssueBatch call.
+/// conversation, like every server. The server owns, for its lifetime, a
+/// WorkerPool of N - 1 workers: every IssueBatch round is one ParallelFor
+/// over the shards, the calling thread taking its share, so remote shards'
+/// wire round-trips overlap without a thread spawned per round. Idle
+/// workers block on the pool's condition variable; a 1-shard server's pool
+/// has no workers and scatters inline.
 class ShardedServer : public HiddenDbServer {
  public:
   /// `shards` must all present the same k and schema (checked); every
@@ -193,6 +197,8 @@ class ShardedServer : public HiddenDbServer {
 
   size_t num_shards() const { return shards_.size(); }
   HiddenDbServer* shard(size_t i) { return shards_[i].server.get(); }
+  /// Worker threads of the scatter pool: num_shards() - 1.
+  unsigned scatter_workers() const { return scatter_pool_->threads(); }
 
   /// Merged members answered to the caller (the client-visible bill).
   uint64_t queries_answered() const { return queries_answered_; }
@@ -206,8 +212,7 @@ class ShardedServer : public HiddenDbServer {
   /// Merges member `member` of the gathered per-shard responses into
   /// `out`. Fails (Internal) when a shard returned a local id outside its
   /// map — a corrupt or mismatched backend, never the data's fault.
-  Status MergeMember(std::vector<std::vector<Response>>& gathered,
-                     size_t member, Response* out);
+  Status MergeMember(size_t member, Response* out);
 
   std::vector<ShardBackend> shards_;
   std::shared_ptr<const std::vector<uint64_t>> global_priorities_;
@@ -227,6 +232,15 @@ class ShardedServer : public HiddenDbServer {
     uint32_t slot;
   };
   std::vector<MergeEntry> merge_scratch_;
+  /// Per-round scatter results, one slot per shard, reused across rounds:
+  /// answer slots are emptied at the start of a round (capacity kept) and
+  /// every round overwrites each status.
+  std::vector<std::vector<Response>> gathered_;
+  std::vector<Status> statuses_;
+
+  /// Declared last so its workers are joined before anything they touch
+  /// is destroyed.
+  std::unique_ptr<WorkerPool> scatter_pool_;
 };
 
 }  // namespace hdc

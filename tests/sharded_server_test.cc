@@ -13,14 +13,20 @@
 //  - merged-overflow edge cases at the k boundary: ties across shards,
 //    empty shards, one shard at its own cap, |q(D)| = k vs k + 1;
 //  - partial failure: one shard dying mid-round leaves a valid merged
-//    answered prefix and a typed status, and the suffix completes after
-//    recovery.
+//    answered prefix and a typed status, and the suffix and later rounds
+//    complete after recovery;
+//  - the scatter pool: shards run concurrently within a round, on the same
+//    kernel threads across rounds, and inline for a single shard.
 #include "server/sharding.h"
 
 #include <gtest/gtest.h>
+#include <sys/types.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,6 +35,8 @@
 #include "gen/synthetic.h"
 #include "server/decorators.h"
 #include "server/local_server.h"
+#include "util/clock.h"
+#include "util/thread_annotations.h"
 
 namespace hdc {
 namespace {
@@ -425,7 +433,7 @@ TEST(ShardedFaultTest, ShardFailingMidRoundLeavesValidMergedPrefix) {
 
   // Recovery: refill the failed shard's budget, resubmit the suffix —
   // deterministic answers mean re-asked shards cannot diverge.
-  static_cast<BudgetServer*>(sharded.shard(1))->Refill(/*max_queries=*/100);
+  static_cast<BudgetServer*>(sharded.shard(1))->Refill(/*max_queries=*/1000);
   const std::vector<Query> suffix(batch.begin() + 3, batch.end());
   std::vector<Response> rest;
   ASSERT_TRUE(sharded.IssueBatch(suffix, &rest).ok());
@@ -433,6 +441,210 @@ TEST(ShardedFaultTest, ShardFailingMidRoundLeavesValidMergedPrefix) {
   Response want;
   ASSERT_TRUE(reference.Issue(batch[3], &want).ok());
   ExpectSameResponse(rest[0], want, "resubmitted suffix");
+
+  // The scatter pool outlives the failed round: later rounds of varying
+  // width still answer exactly as the single index does.
+  std::vector<Query> probes;
+  for (Value a = 1; a <= 4; ++a) {
+    for (Value b = 1; b <= 6; ++b) {
+      probes.push_back(Query::FullSpace(data->schema())
+                           .WithCategoricalEquals(0, a)
+                           .WithCategoricalEquals(1, b));
+    }
+  }
+  for (size_t round = 0; round < 50; ++round) {
+    std::vector<Query> queries;
+    for (size_t m = 0; m <= round % 4; ++m) {
+      queries.push_back(probes[(round + m) % probes.size()]);
+    }
+    std::vector<Response> answers;
+    ASSERT_TRUE(sharded.IssueBatch(queries, &answers).ok());
+    ASSERT_EQ(answers.size(), queries.size());
+    for (size_t m = 0; m < queries.size(); ++m) {
+      Response expected;
+      ASSERT_TRUE(reference.Issue(queries[m], &expected).ok());
+      ExpectSameResponse(answers[m], expected,
+                         "round " + std::to_string(round) + " member " +
+                             std::to_string(m));
+    }
+  }
+}
+
+// --- the scatter pool -------------------------------------------------------
+
+/// Records the kernel thread id of every IssueBatch call it forwards.
+/// Kernel ids, unlike std::thread::id, are not recycled right after a
+/// thread exits, so a thread spawned per round shows up as a new id.
+class TidRecorder : public ServerDecorator {
+ public:
+  TidRecorder(HiddenDbServer* base, Mutex* mu, std::set<pid_t>* tids)
+      : ServerDecorator(base), mu_(mu), tids_(tids) {}
+
+  Status IssueBatch(const std::vector<Query>& queries,
+                    std::vector<Response>* responses) override {
+    {
+      MutexLock lock(mu_);
+      tids_->insert(gettid());
+    }
+    return base_->IssueBatch(queries, responses);
+  }
+
+ private:
+  Mutex* mu_;
+  std::set<pid_t>* tids_;
+};
+
+/// Every shard's backends, each behind its own wrapper, over a plan's
+/// LocalServers; the locals outlive the sharded server that borrows them.
+struct WrappedShards {
+  std::vector<std::unique_ptr<LocalServer>> locals;
+  std::unique_ptr<ShardedServer> sharded;
+
+  template <typename Wrap>
+  WrappedShards(const ShardPlan& plan, Wrap wrap) {
+    std::vector<ShardBackend> backends(plan.num_shards());
+    for (size_t s = 0; s < plan.num_shards(); ++s) {
+      locals.push_back(std::make_unique<LocalServer>(plan.BuildShardIndex(s)));
+      backends[s].server = wrap(locals.back().get());
+      backends[s].global_ids = plan.shard_global_ids(s);
+    }
+    sharded = std::make_unique<ShardedServer>(std::move(backends),
+                                              plan.shared_global_priorities());
+  }
+};
+
+TEST(ShardedScatterTest, PoolThreadsAreReusedAcrossRounds) {
+  auto data = MixedData(96, /*n=*/200);
+  ShardPlanOptions options;
+  options.num_shards = 4;
+  ShardPlan plan = ShardPlan::Partition(data, 8, nullptr, options);
+  Mutex mu;
+  std::set<pid_t> tids;
+  WrappedShards rig(plan, [&](HiddenDbServer* local) {
+    return std::make_unique<TidRecorder>(local, &mu, &tids);
+  });
+  EXPECT_EQ(rig.sharded->scatter_workers(), 3u);
+
+  const std::vector<Query> round{Query::FullSpace(data->schema())};
+  for (int i = 0; i < 200; ++i) {
+    std::vector<Response> responses;
+    ASSERT_TRUE(rig.sharded->IssueBatch(round, &responses).ok());
+  }
+  MutexLock lock(&mu);
+  EXPECT_LE(tids.size(), 4u)
+      << "200 rounds over 4 shards answered on " << tids.size()
+      << " distinct threads; the caller plus 3 pool workers is the most";
+}
+
+/// A cyclic barrier for the shards of one round: each IssueBatch waits
+/// until all `parties` shards have entered, then answers. A wait that
+/// outlasts 5 s fails the call (and every later one) instead of hanging,
+/// so a scatter that runs shards one after another fails fast.
+class Rendezvous {
+ public:
+  explicit Rendezvous(int parties) : parties_(parties) {}
+
+  bool Arrive() {
+    MutexLock lock(&mu_);
+    if (broken_) return false;
+    const uint64_t generation = generation_;
+    if (++arrived_ == parties_) {
+      arrived_ = 0;
+      ++generation_;
+      cv_.NotifyAll();
+      return true;
+    }
+    const auto deadline = RealClock::Get()->Now() + std::chrono::seconds(5);
+    while (generation_ == generation) {
+      const auto now = RealClock::Get()->Now();
+      if (now >= deadline || broken_) {
+        broken_ = true;
+        cv_.NotifyAll();
+        return false;
+      }
+      (void)cv_.WaitFor(&mu_, deadline - now);
+    }
+    return true;
+  }
+
+ private:
+  const int parties_;
+  Mutex mu_;
+  CondVar cv_;
+  int arrived_ HDC_GUARDED_BY(mu_) = 0;
+  uint64_t generation_ HDC_GUARDED_BY(mu_) = 0;
+  bool broken_ HDC_GUARDED_BY(mu_) = false;
+};
+
+class RendezvousServer : public ServerDecorator {
+ public:
+  RendezvousServer(HiddenDbServer* base, Rendezvous* rendezvous)
+      : ServerDecorator(base), rendezvous_(rendezvous) {}
+
+  Status IssueBatch(const std::vector<Query>& queries,
+                    std::vector<Response>* responses) override {
+    if (!rendezvous_->Arrive()) {
+      responses->clear();
+      return Status::Unavailable("shards did not meet within 5 s");
+    }
+    return base_->IssueBatch(queries, responses);
+  }
+
+ private:
+  Rendezvous* rendezvous_;
+};
+
+TEST(ShardedScatterTest, ShardsOfOneRoundRunConcurrently) {
+  auto data = MixedData(97, /*n=*/200);
+  ShardPlanOptions options;
+  options.num_shards = 4;
+  ShardPlan plan = ShardPlan::Partition(data, 8, nullptr, options);
+  Rendezvous rendezvous(/*parties=*/4);
+  WrappedShards rig(plan, [&](HiddenDbServer* local) {
+    return std::make_unique<RendezvousServer>(local, &rendezvous);
+  });
+  LocalServer reference(data, 8);
+
+  const std::vector<Query> round{
+      Query::FullSpace(data->schema()),
+      Query::FullSpace(data->schema()).WithCategoricalEquals(0, 2)};
+  for (int i = 0; i < 20; ++i) {
+    std::vector<Response> responses;
+    Status s = rig.sharded->IssueBatch(round, &responses);
+    ASSERT_TRUE(s.ok()) << "round " << i << ": " << s.ToString();
+    ASSERT_EQ(responses.size(), round.size());
+    for (size_t m = 0; m < round.size(); ++m) {
+      Response want;
+      ASSERT_TRUE(reference.Issue(round[m], &want).ok());
+      ExpectSameResponse(responses[m], want, "member " + std::to_string(m));
+    }
+  }
+}
+
+TEST(ShardedScatterTest, OneShardAnswersInlineWithNoWorkers) {
+  auto data = MixedData(98, /*n=*/200);
+  ShardPlanOptions options;
+  options.num_shards = 1;
+  ShardPlan plan = ShardPlan::Partition(data, 8, nullptr, options);
+  Mutex mu;
+  std::set<pid_t> tids;
+  WrappedShards rig(plan, [&](HiddenDbServer* local) {
+    return std::make_unique<TidRecorder>(local, &mu, &tids);
+  });
+  EXPECT_EQ(rig.sharded->scatter_workers(), 0u);
+
+  LocalServer reference(data, 8);
+  for (Value a = 1; a <= 4; ++a) {
+    const Query q =
+        Query::FullSpace(data->schema()).WithCategoricalEquals(0, a);
+    Response want, got;
+    ASSERT_TRUE(reference.Issue(q, &want).ok());
+    ASSERT_TRUE(rig.sharded->Issue(q, &got).ok());
+    ExpectSameResponse(got, want, "value " + std::to_string(a));
+  }
+  MutexLock lock(&mu);
+  EXPECT_EQ(tids, std::set<pid_t>{gettid()})
+      << "a 1-shard server must answer on the calling thread";
 }
 
 // --- load hint aggregation --------------------------------------------------

@@ -15,7 +15,7 @@ Rules
                      deterministic.
   thread-discipline  raw std::thread appears only in util/worker_pool plus
                      an explicit allowlist (the epoll endpoint's IO/dispatch
-                     threads, multi-crawl lanes, scatter-gather shards).
+                     threads, multi-crawl lanes).
   mutex-discipline   raw std::mutex / condition_variable / lock_guard /
                      unique_lock / scoped_lock appear only in
                      util/thread_annotations.h — locked state must use the
@@ -69,7 +69,6 @@ THREAD_ALLOWLIST = {
     "src/net/service_endpoint.h",   # IO thread + dispatch pool members
     "src/net/service_endpoint.cc",
     "src/core/multi_crawl.cc",      # per-job crawl lanes + metrics monitor
-    "src/server/sharding.cc",       # scatter threads, one per shard
 }
 
 # Files allowed raw std:: locking primitives: the annotated wrappers.

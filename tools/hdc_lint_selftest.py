@@ -94,6 +94,11 @@ def main():
         {"src/data/bad.cc": "std::thread t([] {});\n"},
         ["thread-discipline"])
     scenario(
+        "thread: sharding.cc scatters on its pool, not raw threads",
+        {"src/server/sharding.cc":
+         "void Scatter() { std::thread t([] {}); t.join(); }\n"},
+        ["thread-discipline"])
+    scenario(
         "thread: worker_pool.cc is allowlisted",
         {"src/util/worker_pool.cc": "std::thread t([] {});\n"},
         [])
