@@ -10,10 +10,10 @@
 //   * the write-ahead frontier log (core/frontier_log.h) commits a durable
 //     delta at every round boundary — a SIGKILL mid-day loses at most the
 //     round in flight, never a billed-and-committed one;
-//   * the session checkpoint (core/session_checkpoint.h) composes the
-//     service-side budget header with the crawl state at the graceful
-//     daily cutoff; resuming with restore_budget off is exactly the
-//     "new day, new quota" pattern;
+//   * the session checkpoint (core/session_checkpoint.h) records the
+//     service-side budget next to the crawl state at the graceful daily
+//     cutoff; resuming with restore_budget off is exactly the "new day,
+//     new quota" pattern;
 //   * the extraction streams through a CrawlSink into a CSV (materialize
 //     off, constant memory); on resume the file is truncated to the log's
 //     collected watermark, so uncommitted tail rows are dropped together
@@ -129,9 +129,10 @@ int RunDay(const std::string& state_dir, uint64_t quota,
 
   // Recover: the frontier log is authoritative (it commits every round);
   // the session checkpoint only exists after a *graceful* cutoff and its
-  // budget header is deliberately ignored — today has today's quota.
+  // budget record is deliberately ignored — today has today's quota. Both
+  // files share one format and one reader (core/checkpoint.h).
   std::shared_ptr<CrawlState> state;
-  Status replay = ReplayFrontierLog(log_path, session->schema(), &state);
+  Status replay = LoadCheckpointFile(log_path, session->schema(), &state);
   if (!replay.ok() && replay.code() != Status::Code::kNotFound) {
     std::printf("frontier log replay failed: %s\n",
                 replay.ToString().c_str());

@@ -4,10 +4,12 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "core/binary_shrink.h"
 #include "core/dfs_crawler.h"
@@ -15,34 +17,49 @@
 #include "core/slice_engine.h"
 #include "data/csv_reader.h"
 #include "util/macros.h"
+#include "util/string_escape.h"
 
 namespace hdc {
 namespace {
 
-constexpr const char* kMagic = "hdc-checkpoint";
-constexpr int kVersion = 2;
+constexpr const char* kMagic = "hdc-crawl-state";
+constexpr int kVersion = 3;
+
+Status ErrorAtLine(uint64_t line, const std::string& message) {
+  return Status::InvalidArgument("line " + std::to_string(line) + ": " +
+                                 message);
+}
 
 }  // namespace
 
 Status CheckpointReader::Next(std::string* line) {
   if (!TryNext(line)) {
-    return Status::InvalidArgument(
-        "line " + std::to_string(line_number_ + 1) +
-        ": checkpoint truncated (unexpected end of input)");
+    return ErrorAtLine(lines_read_ + 1,
+                       "crawl-state file truncated (unexpected end of input)");
   }
   return Status::OK();
 }
 
 bool CheckpointReader::TryNext(std::string* line) {
+  if (next_queued_ < queued_.size()) {
+    Line& queued = queued_[next_queued_++];
+    *line = std::move(queued.text);
+    line_number_ = queued.number;
+    return true;
+  }
   if (!std::getline(*in_, *line)) return false;
   if (!line->empty() && line->back() == '\r') line->pop_back();
-  ++line_number_;
+  line_number_ = ++lines_read_;
   return true;
 }
 
+void CheckpointReader::Requeue(std::vector<Line> lines) {
+  queued_ = std::move(lines);
+  next_queued_ = 0;
+}
+
 Status CheckpointReader::Error(const std::string& message) const {
-  return Status::InvalidArgument("line " + std::to_string(line_number_) +
-                                 ": " + message);
+  return ErrorAtLine(line_number_, message);
 }
 
 Status ExpectTagged(const std::string& line, const std::string& tag,
@@ -65,24 +82,17 @@ Status ParseUint64Token(const std::string& s, uint64_t* out) {
   return Status::OK();
 }
 
-Status MakeCrawlStateForAlgorithm(const std::string& algorithm,
-                                  const SchemaPtr& schema,
-                                  std::shared_ptr<CrawlState>* out) {
-  if (algorithm == "binary-shrink") {
-    *out = std::make_shared<BinaryShrinkState>(schema);
-  } else if (algorithm == "rank-shrink") {
-    *out = std::make_shared<RankShrinkState>(schema);
-  } else if (algorithm == "dfs") {
-    *out = std::make_shared<DfsState>(schema);
-  } else if (algorithm == "slice-cover" || algorithm == "lazy-slice-cover" ||
-             algorithm == "hybrid") {
-    // The eager flag is restored by DecodeFrontier.
-    *out = std::make_shared<SliceEngineState>(schema, algorithm,
-                                              /*eager=*/false);
-  } else {
-    return Status::InvalidArgument("unknown algorithm '" + algorithm + "'");
+bool WriteAll(int fd, const std::string& bytes) {
+  size_t off = 0;
+  while (off < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    off += static_cast<size_t>(n);
   }
-  return Status::OK();
+  return true;
 }
 
 Status WriteFileDurably(const std::string& path,
@@ -92,15 +102,9 @@ Status WriteFileDurably(const std::string& path,
   if (fd < 0) {
     return Status::InvalidArgument("cannot open for writing: " + tmp);
   }
-  size_t off = 0;
-  while (off < contents.size()) {
-    const ssize_t n =
-        ::write(fd, contents.data() + off, contents.size() - off);
-    if (n < 0) {
-      ::close(fd);
-      return Status::Internal("write failed: " + tmp);
-    }
-    off += static_cast<size_t>(n);
+  if (!WriteAll(fd, contents)) {
+    ::close(fd);
+    return Status::Internal("write failed: " + tmp);
   }
   if (::fsync(fd) != 0) {
     ::close(fd);
@@ -194,8 +198,9 @@ Status DecodeQueryStackFrontier(CheckpointReader* in, const SchemaPtr& schema,
   }
 }
 
+
 Status SaveCheckpoint(const CrawlState& state, const Schema& schema,
-                      std::ostream* out) {
+                      std::ostream* out, const SessionRecord* session) {
   if (out == nullptr) return Status::InvalidArgument("null output stream");
   if (!state.fatal.ok()) {
     return Status::FailedPrecondition(
@@ -206,6 +211,15 @@ Status SaveCheckpoint(const CrawlState& state, const Schema& schema,
   }
 
   *out << kMagic << ' ' << kVersion << '\n';
+  if (session != nullptr) {
+    *out << "session " << EscapeToken(session->label) << ' ';
+    if (session->budget_remaining.has_value()) {
+      *out << *session->budget_remaining << '\n';
+    } else {
+      *out << "unlimited\n";
+    }
+  }
+  *out << "snapshot-begin\n";
   *out << "algorithm " << state.algorithm() << '\n';
   *out << "schema " << FormatSchemaSpec(schema) << '\n';
   *out << "queries " << state.queries_issued << '\n';
@@ -224,6 +238,7 @@ Status SaveCheckpoint(const CrawlState& state, const Schema& schema,
   *out << "frontier-begin\n";
   state.EncodeFrontier(out);
   *out << "frontier-end\n";
+  *out << "snapshot-end\n";
   if (!*out) return Status::Internal("checkpoint write failed");
   return Status::OK();
 }
@@ -235,49 +250,121 @@ Status SaveCheckpointFile(const CrawlState& state, const Schema& schema,
   return WriteFileDurably(path, out.str());
 }
 
-Status LoadCheckpoint(std::istream* in, SchemaPtr schema,
-                      std::shared_ptr<CrawlState>* out) {
-  if (in == nullptr || schema == nullptr || out == nullptr) {
-    return Status::InvalidArgument("null argument");
-  }
-  CheckpointReader reader(in);
-  std::string line, rest;
+namespace {
 
-  HDC_RETURN_IF_ERROR(reader.Next(&line));
-  int version = 0;
-  {
-    std::istringstream header(line);
-    std::string magic;
-    header >> magic >> version;
-    if (magic != kMagic) {
-      return reader.Error("not an hdc checkpoint");
+using Line = CheckpointReader::Line;
+
+/// Fresh zero-progress CrawlState of the named crawler family, or an
+/// InvalidArgument for an unknown algorithm.
+Status MakeCrawlStateForAlgorithm(const std::string& algorithm,
+                                  const SchemaPtr& schema,
+                                  std::shared_ptr<CrawlState>* out) {
+  if (algorithm == "binary-shrink") {
+    *out = std::make_shared<BinaryShrinkState>(schema);
+  } else if (algorithm == "rank-shrink") {
+    *out = std::make_shared<RankShrinkState>(schema);
+  } else if (algorithm == "dfs") {
+    *out = std::make_shared<DfsState>(schema);
+  } else if (algorithm == "slice-cover" || algorithm == "lazy-slice-cover" ||
+             algorithm == "hybrid") {
+    // The eager flag is restored by DecodeFrontier.
+    *out = std::make_shared<SliceEngineState>(schema, algorithm,
+                                              /*eager=*/false);
+  } else {
+    return Status::InvalidArgument("unknown algorithm '" + algorithm + "'");
+  }
+  return Status::OK();
+}
+
+/// Reads the next line, which must be "<tag> <rest>".
+Status NextTagged(CheckpointReader* in, const std::string& tag,
+                  std::string* rest) {
+  std::string line;
+  HDC_RETURN_IF_ERROR(in->Next(&line));
+  if (Status s = ExpectTagged(line, tag, rest); !s.ok()) {
+    return in->Error(s.message());
+  }
+  return Status::OK();
+}
+
+/// Reads the next line, which must be "<tag> <decimal count>".
+Status NextCount(CheckpointReader* in, const std::string& tag,
+                 uint64_t* value) {
+  std::string rest;
+  HDC_RETURN_IF_ERROR(NextTagged(in, tag, &rest));
+  if (Status s = ParseUint64Token(rest, value); !s.ok()) {
+    return in->Error(s.message());
+  }
+  return Status::OK();
+}
+
+/// Reads the next line, which must be exactly `expected`.
+Status NextExactly(CheckpointReader* in, const std::string& expected) {
+  std::string line;
+  HDC_RETURN_IF_ERROR(in->Next(&line));
+  if (line != expected) {
+    return in->Error("expected " + expected + ", got '" + line + "'");
+  }
+  return Status::OK();
+}
+
+/// Parses the payload of a `seen` line, "<count> <id>...". The count is
+/// checked against the ids actually present, never used to size anything.
+bool ParseSeenIds(const std::string& rest, std::vector<uint64_t>* ids) {
+  std::istringstream tokens(rest);
+  uint64_t count = 0;
+  if (!(tokens >> count)) return false;
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t id = 0;
+    if (!(tokens >> id)) return false;
+    ids->push_back(id);
+  }
+  return true;
+}
+
+Status AddTupleLine(const Line& line, Dataset* extracted) {
+  std::istringstream tokens(line.text);
+  Tuple t;
+  if (Status s = DecodeTupleTokens(
+          &tokens, extracted->schema()->num_attributes(), &t);
+      !s.ok()) {
+    return ErrorAtLine(line.number, s.message());
+  }
+  extracted->AddUnchecked(std::move(t));
+  return Status::OK();
+}
+
+Status ParseSessionRecord(const CheckpointReader& in, const std::string& rest,
+                          SessionRecord* out) {
+  std::istringstream tokens(rest);
+  std::string label, budget, extra;
+  if (!(tokens >> label >> budget) || (tokens >> extra)) {
+    return in.Error("malformed session record '" + rest + "'");
+  }
+  if (Status s = UnescapeToken(label, &out->label); !s.ok()) {
+    return in.Error(s.message());
+  }
+  out->budget_remaining.reset();
+  if (budget != "unlimited") {
+    uint64_t remaining = 0;
+    if (Status s = ParseUint64Token(budget, &remaining); !s.ok()) {
+      return in.Error("malformed budget: " + s.message());
     }
-    if (version < 1 || version > kVersion) {
-      return Status::NotSupported("unsupported checkpoint version " +
-                                  std::to_string(version));
-    }
+    out->budget_remaining = remaining;
   }
+  return Status::OK();
+}
 
-  HDC_RETURN_IF_ERROR(reader.Next(&line));
-  if (Status s = ExpectTagged(line, "algorithm", &rest); !s.ok()) {
-    return reader.Error(s.message());
-  }
-  const std::string algorithm = rest;
-
-  HDC_RETURN_IF_ERROR(reader.Next(&line));
-  if (Status s = ExpectTagged(line, "schema", &rest); !s.ok()) {
-    return reader.Error(s.message());
-  }
-  if (version < 2 && rest.find('\\') != std::string::npos) {
-    // Version 1 predates token escaping: a backslash in its schema spec
-    // could be either a literal character or an (impossible then) escape.
-    // Refuse to guess.
-    return reader.Error(
-        "ambiguous legacy checkpoint: version-1 schema spec contains a "
-        "backslash, which predates token escaping — re-save the checkpoint "
-        "with a current build");
-  }
-  if (rest != FormatSchemaSpec(*schema)) {
+/// Reads the snapshot section, from the `algorithm` line through
+/// `snapshot-end`, straight into a fresh state. The frontier lines stay
+/// text in `frontier`, followed by their `frontier-end` line.
+Status ReadSnapshot(CheckpointReader* in, SchemaPtr schema,
+                    std::shared_ptr<CrawlState>* out,
+                    std::vector<Line>* frontier) {
+  std::string algorithm, spec, rest, line;
+  HDC_RETURN_IF_ERROR(NextTagged(in, "algorithm", &algorithm));
+  HDC_RETURN_IF_ERROR(NextTagged(in, "schema", &spec));
+  if (spec != FormatSchemaSpec(*schema)) {
     // Not the exact schema — accept a *compatible* recorded one (same
     // attributes, kinds and categorical domains; numeric bounds may
     // differ). This is the session-resume case: a crawl checkpointed under
@@ -287,88 +374,167 @@ Status LoadCheckpoint(std::istream* in, SchemaPtr schema,
     // schema — the frontier's extents and the partial extraction only make
     // sense in the space the crawl actually ran in.
     SchemaPtr recorded;
-    Status parsed = ParseSchemaSpec(rest, &recorded);
+    Status parsed = ParseSchemaSpec(spec, &recorded);
     if (!parsed.ok() || !recorded->CompatibleWith(*schema)) {
-      return reader.Error(
-          "checkpoint was taken against an incompatible schema: " + rest);
+      return in->Error(
+          "checkpoint was taken against an incompatible schema: " + spec);
     }
     schema = std::move(recorded);
   }
-
   std::shared_ptr<CrawlState> state;
   if (Status s = MakeCrawlStateForAlgorithm(algorithm, schema, &state);
       !s.ok()) {
-    return reader.Error(s.message());
+    return in->Error(s.message());
   }
 
-  HDC_RETURN_IF_ERROR(reader.Next(&line));
-  if (Status s = ExpectTagged(line, "queries", &rest); !s.ok()) {
-    return reader.Error(s.message());
-  }
-  if (Status s = ParseUint64Token(rest, &state->queries_issued); !s.ok()) {
-    return reader.Error(s.message());
-  }
+  HDC_RETURN_IF_ERROR(NextCount(in, "queries", &state->queries_issued));
 
-  HDC_RETURN_IF_ERROR(reader.Next(&line));
-  if (Status s = ExpectTagged(line, "seen", &rest); !s.ok()) {
-    return reader.Error(s.message());
+  HDC_RETURN_IF_ERROR(NextTagged(in, "seen", &rest));
+  std::vector<uint64_t> seen;
+  if (!ParseSeenIds(rest, &seen)) {
+    return in->Error("malformed seen line: fewer row ids than its count");
   }
-  {
-    std::istringstream tokens(rest);
-    uint64_t count = 0;
-    if (!(tokens >> count)) {
-      return reader.Error("malformed seen line");
-    }
-    state->seen_rows.reserve(count * 2);
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t id;
-      if (!(tokens >> id)) {
-        return reader.Error("seen line truncated: expected " +
-                            std::to_string(count) + " row ids");
-      }
-      state->seen_rows.insert(id);
-    }
-  }
+  state->seen_rows.insert(seen.begin(), seen.end());
 
-  HDC_RETURN_IF_ERROR(reader.Next(&line));
-  if (Status s = ExpectTagged(line, "extracted", &rest); !s.ok()) {
-    return reader.Error(s.message());
-  }
   uint64_t extracted_count = 0;
-  if (Status s = ParseUint64Token(rest, &extracted_count); !s.ok()) {
-    return reader.Error(s.message());
-  }
-  const size_t arity = schema->num_attributes();
+  HDC_RETURN_IF_ERROR(NextCount(in, "extracted", &extracted_count));
   for (uint64_t i = 0; i < extracted_count; ++i) {
-    HDC_RETURN_IF_ERROR(reader.Next(&line));
-    std::istringstream tokens(line);
-    Tuple t;
-    if (Status s = DecodeTupleTokens(&tokens, arity, &t); !s.ok()) {
-      return reader.Error("tuple " + std::to_string(i + 1) + " of " +
-                          std::to_string(extracted_count) + ": " +
-                          s.message());
-    }
-    state->extracted.AddUnchecked(std::move(t));
+    HDC_RETURN_IF_ERROR(in->Next(&line));
+    HDC_RETURN_IF_ERROR(
+        AddTupleLine(Line{std::move(line), in->line_number()},
+                     &state->extracted));
   }
-  HDC_RETURN_IF_ERROR(state->extracted.Validate());
-  state->tuples_collected = extracted_count;
+  HDC_RETURN_IF_ERROR(NextCount(in, "collected", &state->tuples_collected));
+
+  HDC_RETURN_IF_ERROR(NextExactly(in, "frontier-begin"));
+  do {
+    HDC_RETURN_IF_ERROR(in->Next(&line));
+    frontier->push_back(Line{line, in->line_number()});
+  } while (line != "frontier-end");
+  HDC_RETURN_IF_ERROR(NextExactly(in, "snapshot-end"));
+  *out = std::move(state);
+  return Status::OK();
+}
+
+/// One round record, staged until its commit line proves it durable.
+struct Round {
+  uint64_t queries = 0;
+  uint64_t collected = 0;
+  std::vector<uint64_t> seen;
+  std::vector<Line> tuples;
+  uint64_t keep = 0;
+  std::vector<Line> added;
+};
+
+bool TryTagged(CheckpointReader* in, const std::string& tag,
+               std::string* rest) {
+  std::string line;
+  return in->TryNext(&line) && ExpectTagged(line, tag, rest).ok();
+}
+
+bool TryCount(CheckpointReader* in, const std::string& tag,
+              uint64_t* value) {
+  std::string rest;
+  return TryTagged(in, tag, &rest) && ParseUint64Token(rest, value).ok();
+}
+
+bool TryLines(CheckpointReader* in, uint64_t count, std::vector<Line>* out) {
+  for (uint64_t i = 0; i < count; ++i) {
+    Line line;
+    if (!in->TryNext(&line.text)) return false;
+    line.number = in->line_number();
+    out->push_back(std::move(line));
+  }
+  return true;
+}
+
+/// Reads the next round record against a frontier of `frontier_size`
+/// lines. False at the end of the file and on a torn tail — whatever is
+/// malformed there never became durable, so it is dropped, not an error.
+bool ReadRound(CheckpointReader* in, size_t frontier_size, Round* round) {
+  uint64_t seq = 0, tuple_count = 0, add = 0;
+  std::string rest, keep_word, add_word, line;
+  if (!TryCount(in, "round", &seq) ||
+      !TryCount(in, "queries", &round->queries) ||
+      !TryCount(in, "collected", &round->collected) ||
+      !TryTagged(in, "seen", &rest) || !ParseSeenIds(rest, &round->seen) ||
+      !TryCount(in, "tuples", &tuple_count) ||
+      !TryLines(in, tuple_count, &round->tuples) ||
+      !TryTagged(in, "frontier", &rest)) {
+    return false;
+  }
+  std::istringstream tokens(rest);
+  if (!(tokens >> keep_word >> round->keep >> add_word >> add) ||
+      keep_word != "keep" || add_word != "add" ||
+      round->keep > frontier_size) {
+    return false;
+  }
+  return TryLines(in, add, &round->added) && in->TryNext(&line) &&
+         line == "commit " + std::to_string(seq);
+}
+
+}  // namespace
+
+Status LoadCheckpoint(std::istream* in, SchemaPtr schema,
+                      std::shared_ptr<CrawlState>* out,
+                      SessionRecord* session) {
+  if (in == nullptr || schema == nullptr || out == nullptr) {
+    return Status::InvalidArgument("null argument");
+  }
+  CheckpointReader reader(in);
+  std::string line, rest;
 
   HDC_RETURN_IF_ERROR(reader.Next(&line));
-  if (version >= 2) {
-    if (Status s = ExpectTagged(line, "collected", &rest); !s.ok()) {
-      return reader.Error(s.message());
+  {
+    std::istringstream header(line);
+    std::string magic;
+    int version = 0;
+    header >> magic >> version;
+    if (magic != kMagic) return reader.Error("not an hdc crawl-state file");
+    if (version != kVersion) {
+      return Status::NotSupported("unsupported crawl-state version " +
+                                  std::to_string(version));
     }
-    if (Status s = ParseUint64Token(rest, &state->tuples_collected);
-        !s.ok()) {
-      return reader.Error(s.message());
-    }
-    HDC_RETURN_IF_ERROR(reader.Next(&line));
   }
-  if (line != "frontier-begin") {
-    return reader.Error("expected frontier-begin, got '" + line + "'");
-  }
-  HDC_RETURN_IF_ERROR(state->DecodeFrontier(&reader));
 
+  SessionRecord recorded;
+  HDC_RETURN_IF_ERROR(reader.Next(&line));
+  if (ExpectTagged(line, "session", &rest).ok()) {
+    HDC_RETURN_IF_ERROR(ParseSessionRecord(reader, rest, &recorded));
+    HDC_RETURN_IF_ERROR(reader.Next(&line));
+  } else if (session != nullptr) {
+    return reader.Error("expected 'session ...', got '" + line + "'");
+  }
+  if (line != "snapshot-begin") {
+    return reader.Error("expected snapshot-begin, got '" + line + "'");
+  }
+
+  std::shared_ptr<CrawlState> state;
+  std::vector<Line> frontier;
+  HDC_RETURN_IF_ERROR(
+      ReadSnapshot(&reader, std::move(schema), &state, &frontier));
+  Line frontier_end = std::move(frontier.back());
+  frontier.pop_back();
+
+  Round round;
+  while (ReadRound(&reader, frontier.size(), &round)) {
+    state->queries_issued = round.queries;
+    state->tuples_collected = round.collected;
+    state->seen_rows.insert(round.seen.begin(), round.seen.end());
+    for (const Line& t : round.tuples) {
+      HDC_RETURN_IF_ERROR(AddTupleLine(t, &state->extracted));
+    }
+    frontier.resize(round.keep);
+    for (Line& f : round.added) frontier.push_back(std::move(f));
+    round = Round();
+  }
+
+  frontier.push_back(std::move(frontier_end));
+  reader.Requeue(std::move(frontier));
+  HDC_RETURN_IF_ERROR(state->DecodeFrontier(&reader));
+  HDC_RETURN_IF_ERROR(state->extracted.Validate());
+
+  if (session != nullptr) *session = std::move(recorded);
   *out = std::move(state);
   return Status::OK();
 }

@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -13,9 +12,6 @@
 
 namespace hdc {
 namespace {
-
-constexpr const char* kLogMagic = "hdc-frontier-log";
-constexpr int kLogVersion = 1;
 
 std::vector<std::string> SplitLines(const std::string& text) {
   std::vector<std::string> lines;
@@ -68,11 +64,8 @@ void FrontierLogWriter::NoteTuple(const Tuple& tuple) {
 Status FrontierLogWriter::WriteSnapshot(
     const CrawlState& state, std::vector<std::string> frontier_lines) {
   std::ostringstream out;
-  out << kLogMagic << ' ' << kLogVersion << '\n';
-  out << "snapshot-begin\n";
   HDC_RETURN_IF_ERROR(
       SaveCheckpoint(state, *state.extracted.schema(), &out));
-  out << "snapshot-end\n";
   const std::string contents = out.str();
   HDC_RETURN_IF_ERROR(WriteFileDurably(path_, contents));
 
@@ -93,12 +86,8 @@ Status FrontierLogWriter::WriteSnapshot(
 
 Status FrontierLogWriter::AppendDurably(const std::string& record) {
   if (fd_ < 0) return Status::Internal("frontier log is not open: " + path_);
-  size_t off = 0;
-  while (off < record.size()) {
-    const ssize_t n =
-        ::write(fd_, record.data() + off, record.size() - off);
-    if (n < 0) return Status::Internal("frontier log write failed: " + path_);
-    off += static_cast<size_t>(n);
+  if (!WriteAll(fd_, record)) {
+    return Status::Internal("frontier log write failed: " + path_);
   }
   if (options_.sync && ::fsync(fd_) != 0) {
     return Status::Internal("frontier log fsync failed: " + path_);
@@ -151,263 +140,6 @@ Status FrontierLogWriter::Commit(const CrawlState& state) {
   pending_seen_.clear();
   pending_tuples_.clear();
   if (options_.on_commit) options_.on_commit(seq_);
-  return Status::OK();
-}
-
-namespace {
-
-/// The snapshot's checkpoint payload, exploded into the parts a round
-/// record can modify. Tuples and frontier stay raw lines — replay is a line
-/// edit, full validation happens once at the end via LoadCheckpoint.
-struct ReplayImage {
-  std::string algorithm;
-  std::string schema_spec;
-  uint64_t queries = 0;
-  uint64_t collected = 0;
-  std::vector<uint64_t> seen_ids;
-  std::vector<std::string> tuple_lines;
-  std::vector<std::string> frontier_lines;
-};
-
-Status ParseSnapshot(CheckpointReader* in, ReplayImage* image) {
-  std::string line, rest;
-
-  HDC_RETURN_IF_ERROR(in->Next(&line));
-  {
-    std::istringstream header(line);
-    std::string magic;
-    int version = 0;
-    header >> magic >> version;
-    if (magic != "hdc-checkpoint" || version < 1) {
-      return in->Error("snapshot is not an hdc checkpoint");
-    }
-  }
-
-  HDC_RETURN_IF_ERROR(in->Next(&line));
-  if (Status s = ExpectTagged(line, "algorithm", &image->algorithm);
-      !s.ok()) {
-    return in->Error(s.message());
-  }
-  HDC_RETURN_IF_ERROR(in->Next(&line));
-  if (Status s = ExpectTagged(line, "schema", &image->schema_spec); !s.ok()) {
-    return in->Error(s.message());
-  }
-  HDC_RETURN_IF_ERROR(in->Next(&line));
-  if (Status s = ExpectTagged(line, "queries", &rest); !s.ok()) {
-    return in->Error(s.message());
-  }
-  if (Status s = ParseUint64Token(rest, &image->queries); !s.ok()) {
-    return in->Error(s.message());
-  }
-
-  HDC_RETURN_IF_ERROR(in->Next(&line));
-  if (Status s = ExpectTagged(line, "seen", &rest); !s.ok()) {
-    return in->Error(s.message());
-  }
-  {
-    std::istringstream tokens(rest);
-    uint64_t count = 0;
-    if (!(tokens >> count)) return in->Error("malformed seen line");
-    image->seen_ids.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t id = 0;
-      if (!(tokens >> id)) return in->Error("seen line truncated");
-      image->seen_ids.push_back(id);
-    }
-  }
-
-  HDC_RETURN_IF_ERROR(in->Next(&line));
-  if (Status s = ExpectTagged(line, "extracted", &rest); !s.ok()) {
-    return in->Error(s.message());
-  }
-  uint64_t tuple_count = 0;
-  if (Status s = ParseUint64Token(rest, &tuple_count); !s.ok()) {
-    return in->Error(s.message());
-  }
-  image->tuple_lines.reserve(tuple_count);
-  for (uint64_t i = 0; i < tuple_count; ++i) {
-    HDC_RETURN_IF_ERROR(in->Next(&line));
-    image->tuple_lines.push_back(line);
-  }
-
-  HDC_RETURN_IF_ERROR(in->Next(&line));
-  if (Status s = ExpectTagged(line, "collected", &rest); !s.ok()) {
-    return in->Error(s.message());
-  }
-  if (Status s = ParseUint64Token(rest, &image->collected); !s.ok()) {
-    return in->Error(s.message());
-  }
-
-  HDC_RETURN_IF_ERROR(in->Next(&line));
-  if (line != "frontier-begin") {
-    return in->Error("expected frontier-begin, got '" + line + "'");
-  }
-  while (true) {
-    HDC_RETURN_IF_ERROR(in->Next(&line));
-    if (line == "frontier-end") break;
-    image->frontier_lines.push_back(line);
-  }
-  HDC_RETURN_IF_ERROR(in->Next(&line));
-  if (line != "snapshot-end") {
-    return in->Error("expected snapshot-end, got '" + line + "'");
-  }
-  return Status::OK();
-}
-
-/// Applies one round record to `image`. Returns OK with *applied=true on a
-/// complete record; OK with *applied=false on a torn tail (EOF or partial
-/// write after the last durable commit); an error only for corruption in a
-/// region that a prior commit made durable — which cannot happen from a
-/// crash, only from external damage. To keep those apart, the record is
-/// staged and only folded into `image` when its commit line checks out.
-Status ApplyRound(CheckpointReader* in, ReplayImage* image, uint64_t* seq,
-                  bool* applied) {
-  *applied = false;
-  std::string line, rest;
-  if (!in->TryNext(&line)) return Status::OK();  // clean end of log
-
-  if (Status s = ExpectTagged(line, "round", &rest); !s.ok()) {
-    return Status::OK();  // torn tail
-  }
-  uint64_t round_seq = 0;
-  if (!ParseUint64Token(rest, &round_seq).ok()) return Status::OK();
-
-  uint64_t queries = 0, collected = 0;
-  if (!in->TryNext(&line) || !ExpectTagged(line, "queries", &rest).ok() ||
-      !ParseUint64Token(rest, &queries).ok()) {
-    return Status::OK();
-  }
-  if (!in->TryNext(&line) || !ExpectTagged(line, "collected", &rest).ok() ||
-      !ParseUint64Token(rest, &collected).ok()) {
-    return Status::OK();
-  }
-
-  std::vector<uint64_t> seen;
-  if (!in->TryNext(&line) || !ExpectTagged(line, "seen", &rest).ok()) {
-    return Status::OK();
-  }
-  {
-    std::istringstream tokens(rest);
-    uint64_t count = 0;
-    if (!(tokens >> count)) return Status::OK();
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t id = 0;
-      if (!(tokens >> id)) return Status::OK();
-      seen.push_back(id);
-    }
-  }
-
-  std::vector<std::string> tuples;
-  if (!in->TryNext(&line) || !ExpectTagged(line, "tuples", &rest).ok()) {
-    return Status::OK();
-  }
-  uint64_t tuple_count = 0;
-  if (!ParseUint64Token(rest, &tuple_count).ok()) return Status::OK();
-  for (uint64_t i = 0; i < tuple_count; ++i) {
-    if (!in->TryNext(&line)) return Status::OK();
-    tuples.push_back(line);
-  }
-
-  if (!in->TryNext(&line)) return Status::OK();
-  uint64_t keep = 0, add = 0;
-  {
-    std::istringstream tokens(line);
-    std::string tag, keep_word, add_word;
-    if (!(tokens >> tag >> keep_word >> keep >> add_word >> add) ||
-        tag != "frontier" || keep_word != "keep" || add_word != "add" ||
-        keep > image->frontier_lines.size()) {
-      return Status::OK();
-    }
-  }
-  std::vector<std::string> added;
-  for (uint64_t i = 0; i < add; ++i) {
-    if (!in->TryNext(&line)) return Status::OK();
-    added.push_back(line);
-  }
-
-  if (!in->TryNext(&line) ||
-      line != "commit " + std::to_string(round_seq)) {
-    return Status::OK();  // record never became durable
-  }
-
-  image->queries = queries;
-  image->collected = collected;
-  for (uint64_t id : seen) image->seen_ids.push_back(id);
-  for (std::string& t : tuples) image->tuple_lines.push_back(std::move(t));
-  image->frontier_lines.resize(keep);
-  for (std::string& f : added) {
-    image->frontier_lines.push_back(std::move(f));
-  }
-  *seq = round_seq;
-  *applied = true;
-  return Status::OK();
-}
-
-}  // namespace
-
-Status ReplayFrontierLog(const std::string& path, SchemaPtr schema,
-                         std::shared_ptr<CrawlState>* out) {
-  if (schema == nullptr || out == nullptr) {
-    return Status::InvalidArgument("null argument");
-  }
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    return Status::NotFound("no frontier log at " + path);
-  }
-  CheckpointReader reader(&in);
-
-  std::string line;
-  HDC_RETURN_IF_ERROR(reader.Next(&line));
-  {
-    std::istringstream header(line);
-    std::string magic;
-    int version = 0;
-    header >> magic >> version;
-    if (magic != kLogMagic) {
-      return reader.Error("not an hdc frontier log");
-    }
-    if (version != kLogVersion) {
-      return Status::NotSupported("unsupported frontier log version " +
-                                  std::to_string(version));
-    }
-  }
-  HDC_RETURN_IF_ERROR(reader.Next(&line));
-  if (line != "snapshot-begin") {
-    return reader.Error("expected snapshot-begin, got '" + line + "'");
-  }
-
-  ReplayImage image;
-  HDC_RETURN_IF_ERROR(ParseSnapshot(&reader, &image));
-
-  uint64_t seq = 0;
-  while (true) {
-    bool applied = false;
-    HDC_RETURN_IF_ERROR(ApplyRound(&reader, &image, &seq, &applied));
-    if (!applied) break;
-  }
-
-  // Reassemble a checkpoint and run it through the full validation path.
-  std::ostringstream text;
-  text << "hdc-checkpoint 2\n";
-  text << "algorithm " << image.algorithm << '\n';
-  text << "schema " << image.schema_spec << '\n';
-  text << "queries " << image.queries << '\n';
-  text << "seen " << image.seen_ids.size();
-  for (uint64_t id : image.seen_ids) text << ' ' << id;
-  text << '\n';
-  text << "extracted " << image.tuple_lines.size() << '\n';
-  for (const std::string& t : image.tuple_lines) text << t << '\n';
-  text << "collected " << image.collected << '\n';
-  text << "frontier-begin\n";
-  for (const std::string& f : image.frontier_lines) text << f << '\n';
-  text << "frontier-end\n";
-
-  std::istringstream replayed(text.str());
-  if (Status s = LoadCheckpoint(&replayed, std::move(schema), out);
-      !s.ok()) {
-    return Status::InvalidArgument("frontier log replay of " + path + ": " +
-                                   s.message());
-  }
   return Status::OK();
 }
 

@@ -8,24 +8,9 @@
 // boundary, with periodic snapshot compaction. A process SIGKILLed mid-crawl
 // replays the log and resumes from the last committed round.
 //
-// On-disk format (text, one record per round):
-//
-//   hdc-frontier-log 1
-//   snapshot-begin
-//   <full checkpoint payload — see core/checkpoint.h>
-//   snapshot-end
-//   round <seq>
-//   queries <cumulative>
-//   collected <cumulative>
-//   seen <m> <row ids newly seen since the previous commit>
-//   tuples <m>
-//   <m tuple lines>
-//   frontier keep <K> add <M>
-//   <M frontier lines>
-//   commit <seq>
-//   ...
-//
-// The frontier delta is a longest-common-prefix diff against the previously
+// On-disk format: the crawl-state format of core/checkpoint.h — one
+// snapshot followed by one round record per commit. The frontier delta in
+// a round record is a longest-common-prefix diff against the previously
 // committed frontier encoding: keep the first K lines, append M new ones.
 // Crawlers treat the frontier as a stack (pop from the back), so each round
 // touches only the tail and deltas stay small.
@@ -33,10 +18,10 @@
 // Durability protocol: each commit is appended with a single write() and
 // (when FrontierLogOptions::sync) fsync'd before Commit() returns. The
 // snapshot segment is replaced via WriteFileDurably (temp file + fsync +
-// rename), so the log is never in a torn state at a segment boundary. On
-// replay, a trailing record without its matching `commit <seq>` line is a
-// torn tail from the crash and is discarded silently; everything up to the
-// last commit is applied.
+// rename), so the log is never in a torn state at a segment boundary.
+// Replay is LoadCheckpointFile: a trailing record without its matching
+// `commit <seq>` line is a torn tail from the crash and is discarded
+// silently; everything up to the last commit is applied.
 //
 // Billing guarantee: CrawlContext commits at the *top* of each round —
 // commit N captures the state produced by rounds 1..N-1 and happens-before
@@ -133,13 +118,5 @@ class FrontierLogWriter {
   std::vector<uint64_t> pending_seen_;
   std::vector<std::string> pending_tuples_;
 };
-
-/// Replays a frontier log into a resumable CrawlState: applies every
-/// complete round record on top of the snapshot, silently discarding a torn
-/// tail. NotFound when `path` does not exist (a fresh run, not an error).
-/// Corruption *before* the tail — a durably-committed region that fails to
-/// parse — is a typed InvalidArgument naming the offending line.
-Status ReplayFrontierLog(const std::string& path, SchemaPtr schema,
-                         std::shared_ptr<CrawlState>* out);
 
 }  // namespace hdc

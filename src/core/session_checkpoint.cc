@@ -10,8 +10,12 @@ namespace hdc {
 
 Status SaveSessionCheckpoint(const ServerSession& session,
                              const CrawlState& state, std::ostream* out) {
-  HDC_RETURN_IF_ERROR(session.SaveCheckpoint(out));
-  return SaveCheckpoint(state, *session.schema(), out);
+  SessionRecord record;
+  record.label = session.label();
+  if (session.budget_remaining() != kUnlimitedQueries) {
+    record.budget_remaining = session.budget_remaining();
+  }
+  return SaveCheckpoint(state, *session.schema(), out, &record);
 }
 
 Status SaveSessionCheckpointFile(const ServerSession& session,
@@ -28,8 +32,20 @@ Status LoadSessionCheckpoint(std::istream* in, ServerSession* session,
   if (in == nullptr || session == nullptr || out == nullptr) {
     return Status::InvalidArgument("null argument");
   }
-  HDC_RETURN_IF_ERROR(session->ResumeFrom(in, options.restore_budget));
-  return LoadCheckpoint(in, session->schema(), out);
+  SessionRecord record;
+  std::shared_ptr<CrawlState> state;
+  HDC_RETURN_IF_ERROR(LoadCheckpoint(in, session->schema(), &state, &record));
+  const bool restore =
+      options.restore_budget && record.budget_remaining.has_value();
+  if (restore && session->budget_remaining() == kUnlimitedQueries) {
+    return Status::FailedPrecondition(
+        "checkpoint records a query budget but this session was created "
+        "without one (set SessionOptions::max_queries, or resume with "
+        "restore_budget off)");
+  }
+  if (restore) session->RefillBudget(*record.budget_remaining);
+  *out = std::move(state);
+  return Status::OK();
 }
 
 Status LoadSessionCheckpointFile(const std::string& path,

@@ -1,18 +1,12 @@
 // Copyright (c) hdc authors. Apache-2.0 license.
 //
 // Session-scoped checkpointing: one file that snapshots *budget state with
-// crawl state*. The service layer writes/reads only its own small header
-// (ServerSession::SaveCheckpoint / ResumeFrom — server/crawl_service.h);
-// this layer composes that header with the crawl checkpoint format
-// (core/checkpoint.h) and the durable-write protocol, so a metered crawl
-// against a CrawlService can be stopped — or killed — and picked up later
-// with both halves consistent:
-//
-//   hdc-session-checkpoint 1
-//   label <escaped>
-//   budget <remaining | unlimited>
-//   hdc-checkpoint 2
-//   ... (crawl payload)
+// crawl state*, so a metered crawl against a CrawlService can be stopped —
+// or killed — and picked up later with both halves consistent. The file is
+// a crawl-state file (format: core/checkpoint.h) carrying the session
+// record — the session's label and remaining query budget — which this
+// layer writes and applies through ServerSession's label(),
+// budget_remaining() and RefillBudget().
 //
 // The daily-quota pattern (examples/daily_quota.cpp): resume with
 // SessionResumeOptions::restore_budget = false, so each process run keeps
@@ -38,8 +32,8 @@ struct SessionResumeOptions {
   bool restore_budget = true;
 };
 
-/// Writes the session header followed by the crawl checkpoint. The state
-/// must belong to the session's (possibly overridden) schema.
+/// Writes the crawl checkpoint with the session record. The state must
+/// belong to the session's (possibly overridden) schema.
 Status SaveSessionCheckpoint(const ServerSession& session,
                              const CrawlState& state, std::ostream* out);
 
@@ -49,9 +43,12 @@ Status SaveSessionCheckpointFile(const ServerSession& session,
                                  const CrawlState& state,
                                  const std::string& path);
 
-/// Restores the session half (budget, per `options`) and then the crawl
-/// half. On any error `*out` is untouched; budget restoration errors are
-/// typed (see ServerSession::ResumeFrom).
+/// Reads the whole file (LoadCheckpoint, session record required) and only
+/// then restores the session half: when `options.restore_budget` and the
+/// record holds a numeric budget, the session's budget is refilled to it —
+/// a typed FailedPrecondition if the session was created without one. The
+/// recorded label is never applied: a session's label is fixed at
+/// creation. On any error neither `*out` nor the budget is touched.
 Status LoadSessionCheckpoint(std::istream* in, ServerSession* session,
                              std::shared_ptr<CrawlState>* out,
                              const SessionResumeOptions& options = {});

@@ -401,23 +401,20 @@ Status SliceEngineState::DecodeFrontier(CheckpointReader* in) {
   const SchemaPtr& schema = extracted.schema();
   const size_t arity = schema->num_attributes();
   frontier.clear();
-  root = Query::FullSpace(schema);
 
   std::string line, tag;
   HDC_RETURN_IF_ERROR(in->Next(&line));
   {
-    // Version-1 checkpoints have no root line (the crawl always covered the
-    // full space); their first line is catorder.
     std::string rest;
-    if (ExpectTagged(line, "root", &rest).ok()) {
-      std::istringstream tokens(rest);
-      Query q = Query::FullSpace(schema);
-      Status s = DecodeQueryTokens(&tokens, schema, &q);
-      if (!s.ok()) return in->Error(s.message());
-      root = std::move(q);
-      HDC_RETURN_IF_ERROR(in->Next(&line));
+    if (Status s = ExpectTagged(line, "root", &rest); !s.ok()) {
+      return in->Error(s.message());
+    }
+    std::istringstream tokens(rest);
+    if (Status s = DecodeQueryTokens(&tokens, schema, &root); !s.ok()) {
+      return in->Error(s.message());
     }
   }
+  HDC_RETURN_IF_ERROR(in->Next(&line));
   {
     std::istringstream tokens(line);
     if (!(tokens >> tag) || tag != "catorder") {
@@ -493,7 +490,6 @@ Status SliceEngineState::DecodeFrontier(CheckpointReader* in) {
         }
         entry.state = SliceEntry::State::kResolved;
         entry.bag.clear();
-        entry.bag.reserve(count);
         for (size_t i = 0; i < count; ++i) {
           HDC_RETURN_IF_ERROR(in->Next(&line));
           std::istringstream bag_tokens(line);

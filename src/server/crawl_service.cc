@@ -2,13 +2,9 @@
 #include "server/crawl_service.h"
 
 #include <algorithm>
-#include <charconv>
-#include <istream>
-#include <ostream>
 #include <utility>
 
 #include "util/macros.h"
-#include "util/string_escape.h"
 
 namespace hdc {
 
@@ -131,76 +127,6 @@ void ServerSession::RefillBudget(uint64_t max_queries) {
   HDC_CHECK_MSG(budget_ != nullptr,
                 "RefillBudget on a session created without max_queries");
   budget_->Refill(max_queries);
-}
-
-Status ServerSession::SaveCheckpoint(std::ostream* out) const {
-  if (out == nullptr) return Status::InvalidArgument("null output stream");
-  *out << "hdc-session-checkpoint 1\n";
-  *out << "label " << EscapeToken(label_) << '\n';
-  if (budget_ != nullptr) {
-    *out << "budget " << budget_->remaining() << '\n';
-  } else {
-    *out << "budget unlimited\n";
-  }
-  if (!*out) return Status::Internal("session checkpoint write failed");
-  return Status::OK();
-}
-
-Status ServerSession::ResumeFrom(std::istream* in, bool restore_budget,
-                                 std::string* recorded_label) {
-  if (in == nullptr) return Status::InvalidArgument("null input stream");
-  uint64_t line_number = 0;
-  auto next = [in, &line_number](std::string* line) {
-    ++line_number;
-    if (!std::getline(*in, *line)) {
-      return Status::InvalidArgument(
-          "line " + std::to_string(line_number) +
-          ": session checkpoint truncated (unexpected end of input)");
-    }
-    if (!line->empty() && line->back() == '\r') line->pop_back();
-    return Status::OK();
-  };
-
-  std::string line;
-  HDC_RETURN_IF_ERROR(next(&line));
-  if (line != "hdc-session-checkpoint 1") {
-    return Status::InvalidArgument(
-        "line 1: not an hdc session checkpoint: '" + line + "'");
-  }
-
-  HDC_RETURN_IF_ERROR(next(&line));
-  if (line.rfind("label ", 0) != 0) {
-    return Status::InvalidArgument("line 2: expected 'label ...', got '" +
-                                   line + "'");
-  }
-  std::string label;
-  HDC_RETURN_IF_ERROR(UnescapeToken(line.substr(6), &label));
-  if (recorded_label != nullptr) *recorded_label = std::move(label);
-
-  HDC_RETURN_IF_ERROR(next(&line));
-  if (line.rfind("budget ", 0) != 0) {
-    return Status::InvalidArgument("line 3: expected 'budget ...', got '" +
-                                   line + "'");
-  }
-  const std::string value = line.substr(7);
-  if (restore_budget && value != "unlimited") {
-    uint64_t remaining = 0;
-    auto [ptr, ec] =
-        std::from_chars(value.data(), value.data() + value.size(), remaining);
-    if (value.empty() || ec != std::errc() ||
-        ptr != value.data() + value.size()) {
-      return Status::InvalidArgument("line 3: malformed budget '" + value +
-                                     "'");
-    }
-    if (budget_ == nullptr) {
-      return Status::FailedPrecondition(
-          "checkpoint records a query budget but this session was created "
-          "without one (set SessionOptions::max_queries, or resume with "
-          "restore_budget off)");
-    }
-    budget_->Refill(remaining);
-  }
-  return Status::OK();
 }
 
 ServerLoadHint ServerSession::load_hint() const {

@@ -224,30 +224,6 @@ class ServerSession : public HiddenDbServer {
   /// Grants a fresh allotment; only valid on a budgeted session.
   void RefillBudget(uint64_t max_queries);
 
-  // --- Session checkpointing -------------------------------------------
-  // A session checkpoint is a small text header — label plus remaining
-  // query budget — designed to be *prepended* to a crawl checkpoint, so
-  // budget state and crawl state travel in one file and survive a crash
-  // together (core/session_checkpoint.h composes the two; this layer knows
-  // nothing about crawl state).
-
-  /// Writes the session header:
-  ///   hdc-session-checkpoint 1
-  ///   label <escaped>
-  ///   budget <remaining | unlimited>
-  Status SaveCheckpoint(std::ostream* out) const;
-
-  /// Parses a session header, leaving `in` positioned at whatever follows
-  /// it (the crawl payload). When `restore_budget` and the header records
-  /// a numeric budget, refills this session's budget to the recorded
-  /// remainder — a typed error if this session was created without one.
-  /// Pass restore_budget=false to keep this session's own (fresh) budget,
-  /// e.g. a new daily quota per process run. The recorded label is
-  /// reported via `recorded_label` (may be null), never applied — the
-  /// label is fixed at session creation and read concurrently by metrics.
-  Status ResumeFrom(std::istream* in, bool restore_budget = true,
-                    std::string* recorded_label = nullptr);
-
   /// Scheduling stats of this session's pool lane (all zero when the
   /// service runs without a pool, i.e. max_parallelism == 1).
   WorkerPool::LaneStats lane_stats() const;

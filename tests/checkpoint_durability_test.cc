@@ -8,12 +8,14 @@
 //     leaves behind, the prior checkpoint must still load.
 //
 //  2. LoadCheckpoint on a truncated file must fail with a typed error that
-//     names the offending line — and must never hand back a
-//     partially-populated CrawlState.
+//     names the offending line of the file — checkpoint, session file or
+//     frontier log alike — and must never hand back a partially-populated
+//     CrawlState.
 #include "core/checkpoint.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -21,6 +23,7 @@
 #include <string>
 
 #include "core/crawlers.h"
+#include "core/frontier_log.h"
 #include "gen/synthetic.h"
 #include "server/local_server.h"
 #include "util/macros.h"
@@ -47,12 +50,12 @@ struct Fixture {
   std::string serialized;
 };
 
-Fixture MakeFixture(uint64_t seed, uint64_t budget) {
+Fixture MakeFixture(uint64_t seed, uint64_t budget, uint64_t n = 500) {
   Fixture f;
   SyntheticMixedOptions gen;
   gen.domain_sizes = {4, 5};
   gen.num_numeric = 1;
-  gen.n = 500;
+  gen.n = n;
   gen.value_range = 120;
   gen.seed = seed;
   f.data = std::make_shared<Dataset>(GenerateSyntheticMixed(gen));
@@ -68,6 +71,58 @@ Fixture MakeFixture(uint64_t seed, uint64_t budget) {
   HDC_CHECK(SaveCheckpoint(*f.state, *f.data->schema(), &out).ok());
   f.serialized = out.str();
   return f;
+}
+
+// A frontier log whose snapshot is `f`'s mid-crawl state, followed by the
+// round records of a resumed crawl.
+std::string MakeLog(const Fixture& f, const std::string& path) {
+  std::remove(path.c_str());
+  FrontierLogOptions log_options;
+  log_options.sync = false;
+  std::unique_ptr<FrontierLogWriter> log;
+  HDC_CHECK(FrontierLogWriter::Open(path, log_options, &log).ok());
+  LocalServer server(f.data,
+                     std::max<uint64_t>(8, f.data->MaxPointMultiplicity()));
+  std::shared_ptr<CrawlState> state;
+  std::istringstream in(f.serialized);
+  HDC_CHECK(LoadCheckpoint(&in, f.data->schema(), &state).ok());
+  HybridCrawler crawler;
+  CrawlOptions options;
+  options.max_queries = state->queries_issued + 12;
+  options.frontier_log = log.get();
+  crawler.Resume(&server, state, options);
+  HDC_CHECK(log->commits() > 2);
+  return ReadWholeFile(path);
+}
+
+// 1-based number of the line starting at byte `pos` of `text`.
+uint64_t LineAt(const std::string& text, size_t pos) {
+  return 1 + std::count(text.begin(), text.begin() + pos, '\n');
+}
+
+// Byte offset of the first line of `text` that starts with `prefix`.
+size_t FindLine(const std::string& text, const std::string& prefix) {
+  const size_t at = text.find("\n" + prefix);
+  HDC_CHECK(at != std::string::npos);
+  return at + 1;
+}
+
+// Replaces the rest of the line starting at `pos`, after `skip` bytes.
+std::string ReplaceLineTail(std::string text, size_t pos, size_t skip,
+                            const std::string& tail) {
+  const size_t from = pos + skip;
+  return text.replace(from, text.find('\n', from) - from, tail);
+}
+
+void ExpectFailsAtLine(const std::string& text, const SchemaPtr& schema,
+                       uint64_t line) {
+  std::istringstream in(text);
+  std::shared_ptr<CrawlState> restored;
+  Status s = LoadCheckpoint(&in, schema, &restored);
+  ASSERT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_EQ(s.message().rfind("line " + std::to_string(line) + ": ", 0), 0u)
+      << "expected line " << line << ": " << s.ToString();
+  EXPECT_EQ(restored, nullptr);
 }
 
 // Satellite 1: the torn-write regression. Simulate a crash at *every byte
@@ -117,7 +172,7 @@ TEST(CheckpointDurabilityTest, TruncatedCheckpointNeverLoadsPartially) {
     std::shared_ptr<CrawlState> restored;
     Status s = LoadCheckpoint(&in, f.data->schema(), &restored);
     if (s.ok()) {
-      // The only survivable cut: the final "frontier-end" line kept whole,
+      // The only survivable cut: the final "snapshot-end" line kept whole,
       // just missing its newline.
       EXPECT_EQ(offset, text.size() - 1) << "offset " << offset;
       continue;
@@ -169,6 +224,82 @@ TEST(CheckpointDurabilityTest, TruncationErrorsNameTheLine) {
     ASSERT_TRUE(s.IsInvalidArgument());
     EXPECT_NE(s.message().find("line "), std::string::npos) << s.ToString();
     EXPECT_EQ(restored, nullptr);
+  }
+  {  // Session file: the session record counts as a line of the file.
+    SessionRecord record{"nightly", 7};
+    std::ostringstream out;
+    ASSERT_TRUE(
+        SaveCheckpoint(*f.state, *f.data->schema(), &out, &record).ok());
+    const std::string text = out.str();
+    const size_t end = text.rfind("frontier-end");
+    ExpectFailsAtLine(text.substr(0, end), f.data->schema(),
+                      LineAt(text, end));
+  }
+
+  {  // Log whose snapshot is corrupt: errors name lines of the log, also
+     // for a frontier line decoded only after the rounds were applied.
+    const std::string log =
+        MakeLog(f, ::testing::TempDir() + "/hdc_line_numbers.log");
+    const size_t collected = FindLine(log, "collected ");
+    ExpectFailsAtLine(ReplaceLineTail(log, collected, 10, "x"),
+                      f.data->schema(), LineAt(log, collected));
+    const size_t catorder = FindLine(log, "catorder");
+    ExpectFailsAtLine(ReplaceLineTail(log, catorder, 8, " 0 0 0 0"),
+                      f.data->schema(), LineAt(log, catorder));
+  }
+}
+
+// Files in a parent format — a version-2 checkpoint, a version-1 frontier
+// log wrapping one — fail typed and are never misread.
+TEST(CheckpointDurabilityTest, ParentFormatHeadersFailTyped) {
+  Fixture f = MakeFixture(56, 12);
+  const std::string& text = f.serialized;
+  const size_t payload = FindLine(text, "algorithm ");
+  const size_t payload_end = FindLine(text, "snapshot-end");
+  const std::string body = text.substr(payload, payload_end - payload);
+  const std::string parent_checkpoint = "hdc-checkpoint 2\n" + body;
+  const std::string parent_log = "hdc-frontier-log 1\nsnapshot-begin\n" +
+                                 parent_checkpoint + "snapshot-end\n";
+  const std::string older_version =
+      "hdc-crawl-state 2\n" + text.substr(text.find('\n') + 1);
+  for (const std::string& old : {parent_checkpoint, parent_log,
+                                 older_version}) {
+    std::istringstream in(old);
+    std::shared_ptr<CrawlState> restored;
+    Status s = LoadCheckpoint(&in, f.data->schema(), &restored);
+    EXPECT_TRUE(s.IsInvalidArgument() ||
+                s.code() == Status::Code::kNotSupported)
+        << s.ToString();
+    EXPECT_EQ(restored, nullptr);
+  }
+}
+
+// A count read from disk never sizes a container: a seen-row, tuple or
+// slice-bag count of 2^62 is a typed error, in a checkpoint and in a log
+// alike, never an allocation that aborts the process.
+TEST(CheckpointDurabilityTest, HostileCountsFailTyped) {
+  // Few enough rows that slice queries resolve and carry bags.
+  Fixture f = MakeFixture(57, 12, /*n=*/60);
+  const std::string huge = "4611686018427387904";
+  const std::string log =
+      MakeLog(f, ::testing::TempDir() + "/hdc_hostile_counts.log");
+  for (const std::string& text : {f.serialized, log}) {
+    const size_t seen = FindLine(text, "seen ");
+    const size_t extracted = FindLine(text, "extracted ");
+    // Round records rewrite the frontier's tail, so only the last
+    // resolved-slice line of a log is sure to be live after replay.
+    const size_t bag = text.rfind(" R ");
+    ASSERT_NE(bag, std::string::npos) << "no resolved slice to mutate";
+    for (const std::string& mutated :
+         {ReplaceLineTail(text, seen, 5, huge + " 1 2 3"),
+          ReplaceLineTail(text, extracted, 10, huge),
+          ReplaceLineTail(text, bag, 3, huge)}) {
+      std::istringstream in(mutated);
+      std::shared_ptr<CrawlState> restored;
+      Status s = LoadCheckpoint(&in, f.data->schema(), &restored);
+      EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+      EXPECT_EQ(restored, nullptr);
+    }
   }
 }
 

@@ -74,7 +74,7 @@ TEST(FrontierLogTest, ReplayReconstructsTheInterruptedState) {
   // Replay recovers exactly the state at the last committed round: with a
   // commit every round, that is the in-memory resume state.
   std::shared_ptr<CrawlState> replayed;
-  ASSERT_TRUE(ReplayFrontierLog(path, data.schema(), &replayed).ok());
+  ASSERT_TRUE(LoadCheckpointFile(path, data.schema(), &replayed).ok());
   ASSERT_NE(replayed, nullptr);
   EXPECT_EQ(replayed->queries_issued, partial.resume_state->queries_issued);
   EXPECT_TRUE(Dataset::MultisetEquals(replayed->extracted,
@@ -115,15 +115,12 @@ TEST(FrontierLogTest, TornTailIsDiscardedAtEveryByteOffset) {
   const size_t tail_start = marker_pos + marker.size();
   ASSERT_LT(tail_start, bytes.size()) << "crawl appended no round records";
 
-  const std::string torn_path = ::testing::TempDir() + "/hdc_flog_torn_cut.log";
+  // Each torn prefix is replayed from memory: the reader takes any stream.
   uint64_t last_queries = 0;
   for (size_t offset = tail_start; offset <= bytes.size(); ++offset) {
-    std::ofstream out(torn_path, std::ios::binary | std::ios::trunc);
-    out << bytes.substr(0, offset);
-    out.close();
-
+    std::istringstream torn(bytes.substr(0, offset));
     std::shared_ptr<CrawlState> replayed;
-    Status s = ReplayFrontierLog(torn_path, data.schema(), &replayed);
+    Status s = LoadCheckpoint(&torn, data.schema(), &replayed);
     ASSERT_TRUE(s.ok()) << "offset " << offset << ": " << s.ToString();
     ASSERT_NE(replayed, nullptr) << "offset " << offset;
     // Progress is monotone in the prefix length and never overshoots the
@@ -134,7 +131,7 @@ TEST(FrontierLogTest, TornTailIsDiscardedAtEveryByteOffset) {
   }
   // The untorn log replays to the completed crawl.
   std::shared_ptr<CrawlState> final_state;
-  ASSERT_TRUE(ReplayFrontierLog(path, data.schema(), &final_state).ok());
+  ASSERT_TRUE(LoadCheckpointFile(path, data.schema(), &final_state).ok());
   EXPECT_EQ(final_state->queries_issued, full.queries_issued);
   EXPECT_TRUE(final_state->Finished());
   EXPECT_TRUE(Dataset::MultisetEquals(final_state->extracted, data));
@@ -164,7 +161,7 @@ TEST(FrontierLogTest, RotationResnapshotsAndStaysReplayable) {
   EXPECT_LT(FileSize(path), 512u + 8u * 4096u);
 
   std::shared_ptr<CrawlState> replayed;
-  ASSERT_TRUE(ReplayFrontierLog(path, data.schema(), &replayed).ok());
+  ASSERT_TRUE(LoadCheckpointFile(path, data.schema(), &replayed).ok());
   EXPECT_TRUE(replayed->Finished());
   EXPECT_EQ(replayed->queries_issued, full.queries_issued);
   EXPECT_TRUE(Dataset::MultisetEquals(replayed->extracted, data));
@@ -172,7 +169,7 @@ TEST(FrontierLogTest, RotationResnapshotsAndStaysReplayable) {
 
 TEST(FrontierLogTest, MissingLogIsNotFound) {
   std::shared_ptr<CrawlState> replayed;
-  Status s = ReplayFrontierLog(::testing::TempDir() + "/hdc_no_such_flog",
+  Status s = LoadCheckpointFile(::testing::TempDir() + "/hdc_no_such_flog",
                                Schema::Numeric(1), &replayed);
   EXPECT_EQ(s.code(), Status::Code::kNotFound) << s.ToString();
   EXPECT_EQ(replayed, nullptr);

@@ -1,0 +1,295 @@
+// Copyright (c) hdc authors. Apache-2.0 license.
+//
+// Fuzz harness for the one crawl-state reader (core/checkpoint.h) — the
+// surface a damaged or hostile file on disk controls. Every input is loaded
+// against three schemas (mixed, all-numeric, all-categorical), once as a
+// plain checkpoint or frontier log and once with the session record
+// required.
+// The reader must return a typed error or a state — never crash, never
+// allocate a claimed count unchecked — and a state it returns must save and
+// load again with the same counters.
+//
+// Build shapes (tests/fuzz/CMakeLists.txt):
+//   - clang + HDC_BUILD_FUZZERS: libFuzzer entry point (HDC_HAVE_LIBFUZZER),
+//     run `crawl_state_fuzz -runs=N crawl_state_corpus/` for a bounded smoke;
+//   - any compiler: standalone driver replaying corpus files/dirs, which is
+//     the tier-1 `crawl_state_fuzz_replay` ctest; `--generate DIR` rebuilds
+//     the seed corpus from SaveCheckpoint, SaveSessionCheckpoint and
+//     multi-round FrontierLogWriter round-trips.
+
+#include <cstdint>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "core/checkpoint.h"
+#include "gen/synthetic.h"
+#include "util/macros.h"
+
+namespace {
+
+using hdc::CrawlState;
+using hdc::Dataset;
+using hdc::SchemaPtr;
+using hdc::SessionRecord;
+using hdc::Status;
+
+/// The seeds' mixed dataset: two categorical attributes and one numeric,
+/// few enough rows that slice queries resolve and carry bags.
+const std::shared_ptr<Dataset>& MixedData() {
+  static const std::shared_ptr<Dataset> data = [] {
+    hdc::SyntheticMixedOptions gen;
+    gen.domain_sizes = {4, 5};
+    gen.num_numeric = 1;
+    gen.n = 60;
+    gen.value_range = 120;
+    gen.seed = 57;
+    return std::make_shared<Dataset>(hdc::GenerateSyntheticMixed(gen));
+  }();
+  return data;
+}
+
+/// The seeds' all-numeric dataset (rank-shrink and binary-shrink).
+const std::shared_ptr<Dataset>& NumericData() {
+  static const std::shared_ptr<Dataset> data = [] {
+    hdc::SyntheticNumericOptions gen;
+    gen.d = 2;
+    gen.n = 200;
+    gen.value_range = 100;
+    gen.seed = 42;
+    return std::make_shared<Dataset>(hdc::GenerateSyntheticNumeric(gen));
+  }();
+  return data;
+}
+
+/// The seeds' all-categorical dataset (DFS and the session seeds).
+const std::shared_ptr<Dataset>& CategoricalData() {
+  static const std::shared_ptr<Dataset> data = [] {
+    hdc::SyntheticCategoricalOptions gen;
+    gen.domain_sizes = {5, 6, 4};
+    gen.n = 450;
+    gen.seed = 91;
+    return std::make_shared<Dataset>(hdc::GenerateSyntheticCategorical(gen));
+  }();
+  return data;
+}
+
+void LoadOne(const std::string& bytes, const SchemaPtr& schema,
+             bool with_session) {
+  std::istringstream in(bytes);
+  std::shared_ptr<CrawlState> state;
+  SessionRecord record;
+  Status s = hdc::LoadCheckpoint(&in, schema, &state,
+                                 with_session ? &record : nullptr);
+  if (!s.ok()) {
+    HDC_CHECK(state == nullptr);
+    return;
+  }
+  std::ostringstream saved;
+  HDC_CHECK_OK(
+      hdc::SaveCheckpoint(*state, *state->extracted.schema(), &saved));
+  std::istringstream again(saved.str());
+  std::shared_ptr<CrawlState> reloaded;
+  HDC_CHECK_OK(hdc::LoadCheckpoint(&again, schema, &reloaded));
+  HDC_CHECK(reloaded->algorithm() == state->algorithm());
+  HDC_CHECK(reloaded->queries_issued == state->queries_issued);
+  HDC_CHECK(reloaded->tuples_collected == state->tuples_collected);
+  HDC_CHECK(reloaded->seen_rows == state->seen_rows);
+  HDC_CHECK(reloaded->extracted.size() == state->extracted.size());
+  HDC_CHECK(reloaded->Finished() == state->Finished());
+}
+
+void FuzzOne(const uint8_t* data, size_t size) {
+  const std::string bytes(reinterpret_cast<const char*>(data), size);
+  for (const SchemaPtr& schema :
+       {MixedData()->schema(), NumericData()->schema(),
+        CategoricalData()->schema()}) {
+    LoadOne(bytes, schema, /*with_session=*/false);
+    LoadOne(bytes, schema, /*with_session=*/true);
+  }
+}
+
+}  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
+  FuzzOne(data, size);
+  return 0;
+}
+
+#if !defined(HDC_HAVE_LIBFUZZER)
+
+// Standalone driver: replays corpus files (regression mode, registered as
+// the tier-1 `crawl_state_fuzz_replay` ctest) and regenerates the seed
+// corpus. libFuzzer builds get their main() from the sanitizer runtime.
+
+#include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iostream>
+
+#include "core/crawlers.h"
+#include "core/frontier_log.h"
+#include "core/session_checkpoint.h"
+#include "server/crawl_service.h"
+#include "server/local_server.h"
+
+namespace {
+
+namespace fs = std::filesystem;
+
+int ReplayFile(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    std::cerr << "cannot read " << path << "\n";
+    return 1;
+  }
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  FuzzOne(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+  return 0;
+}
+
+int Replay(const std::vector<std::string>& args) {
+  size_t replayed = 0;
+  for (const std::string& arg : args) {
+    const fs::path path(arg);
+    if (fs::is_directory(path)) {
+      for (const fs::directory_entry& entry : fs::directory_iterator(path)) {
+        if (!entry.is_regular_file()) continue;
+        if (ReplayFile(entry.path()) != 0) return 1;
+        ++replayed;
+      }
+    } else {
+      if (ReplayFile(path) != 0) return 1;
+      ++replayed;
+    }
+  }
+  std::cout << "crawl_state_fuzz: replayed " << replayed
+            << " input(s), no crash\n";
+  return 0;
+}
+
+uint64_t KFor(const Dataset& data) {
+  return std::max<uint64_t>(8, data.MaxPointMultiplicity());
+}
+
+/// A crawl of `data` interrupted after `budget` queries.
+std::shared_ptr<CrawlState> Interrupted(hdc::Crawler* crawler,
+                                        const std::shared_ptr<Dataset>& data,
+                                        uint64_t budget) {
+  hdc::LocalServer server(data, KFor(*data));
+  hdc::CrawlOptions options;
+  options.max_queries = budget;
+  hdc::CrawlResult partial = crawler->Crawl(&server, options);
+  HDC_CHECK(partial.status.IsResourceExhausted());
+  return partial.resume_state;
+}
+
+std::string Checkpoint(const CrawlState& state) {
+  std::ostringstream out;
+  HDC_CHECK_OK(hdc::SaveCheckpoint(state, *state.extracted.schema(), &out));
+  return out.str();
+}
+
+void WriteSeed(const fs::path& dir, const std::string& name,
+               const std::string& bytes) {
+  std::ofstream out(dir / name, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Replaces the rest of the line that starts with `tag` (after the tag)
+/// with `tail`.
+std::string WithLineTail(std::string text, const std::string& tag,
+                         const std::string& tail) {
+  const size_t from = text.find(tag) + tag.size();
+  return text.replace(from, text.find('\n', from) - from, tail);
+}
+
+/// A full crawl of `data` written through a frontier log: one snapshot,
+/// then one round record per commit.
+void WriteLogSeed(const fs::path& dir, const std::string& name,
+                  hdc::Crawler* crawler,
+                  const std::shared_ptr<Dataset>& data) {
+  const fs::path path = dir / name;
+  std::remove(path.c_str());
+  hdc::FrontierLogOptions log_options;
+  log_options.sync = false;
+  std::unique_ptr<hdc::FrontierLogWriter> log;
+  HDC_CHECK_OK(hdc::FrontierLogWriter::Open(path, log_options, &log));
+  hdc::LocalServer server(data, KFor(*data));
+  hdc::CrawlOptions options;
+  options.frontier_log = log.get();
+  HDC_CHECK_OK(crawler->Crawl(&server, options).status);
+  HDC_CHECK(log->commits() > 2);
+}
+
+/// Seeds are Save* round-trips of mid-crawl states of every crawler family
+/// the three schemas admit, plus the two hostile counts that once aborted
+/// the process (a seen-row count and a slice-bag count of 2^62).
+int Generate(const std::string& dir_arg) {
+  const fs::path dir(dir_arg);
+  fs::create_directories(dir);
+  const std::string huge = "4611686018427387904";
+
+  hdc::HybridCrawler hybrid;
+  const std::string hybrid_checkpoint =
+      Checkpoint(*Interrupted(&hybrid, MixedData(), 12));
+  WriteSeed(dir, "checkpoint_hybrid", hybrid_checkpoint);
+  hdc::DfsCrawler dfs;
+  WriteSeed(dir, "checkpoint_dfs",
+            Checkpoint(*Interrupted(&dfs, CategoricalData(), 10)));
+  hdc::RankShrink rank_shrink;
+  WriteSeed(dir, "checkpoint_rank_shrink",
+            Checkpoint(*Interrupted(&rank_shrink, NumericData(), 6)));
+  hdc::BinaryShrink binary_shrink;
+  WriteSeed(dir, "checkpoint_binary_shrink",
+            Checkpoint(*Interrupted(&binary_shrink, NumericData(), 6)));
+
+  hdc::CrawlService service(CategoricalData(), KFor(*CategoricalData()));
+  for (const bool budgeted : {true, false}) {
+    hdc::SessionOptions session_options;
+    session_options.label = "fuzz seed: day #1\t";
+    if (budgeted) session_options.max_queries = 9;
+    auto session = service.CreateSession(session_options);
+    hdc::CrawlOptions options;
+    options.max_queries = 9;
+    hdc::CrawlResult partial = dfs.Crawl(session.get(), options);
+    HDC_CHECK(partial.status.IsResourceExhausted());
+    std::ostringstream out;
+    HDC_CHECK_OK(
+        hdc::SaveSessionCheckpoint(*session, *partial.resume_state, &out));
+    WriteSeed(dir, budgeted ? "session_budgeted" : "session_unlimited",
+              out.str());
+  }
+
+  WriteLogSeed(dir, "log_hybrid", &hybrid, MixedData());
+  WriteLogSeed(dir, "log_rank_shrink", &rank_shrink, NumericData());
+
+  WriteSeed(dir, "regression_seen_count",
+            WithLineTail(hybrid_checkpoint, "\nseen ", huge + " 1 2 3"));
+  HDC_CHECK(hybrid_checkpoint.find(" R ") != std::string::npos);
+  WriteSeed(dir, "regression_bag_count",
+            WithLineTail(hybrid_checkpoint, " R ", huge));
+
+  std::cout << "crawl_state_fuzz: wrote seed corpus to " << dir << "\n";
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::vector<std::string> args(argv + 1, argv + argc);
+  if (args.size() == 2 && args[0] == "--generate") {
+    return Generate(args[1]);
+  }
+  if (args.empty()) {
+    std::cerr << "usage: " << argv[0]
+              << " <corpus file or dir>... | --generate <dir>\n";
+    return 2;
+  }
+  return Replay(args);
+}
+
+#endif  // !HDC_HAVE_LIBFUZZER

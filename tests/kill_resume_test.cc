@@ -120,7 +120,7 @@ void RunGeneration(const KillCase& test_case, const std::string& log_path,
   LocalServer server(shared, k);
 
   std::shared_ptr<CrawlState> replayed;
-  Status replay = ReplayFrontierLog(log_path, data.schema(), &replayed);
+  Status replay = LoadCheckpointFile(log_path, data.schema(), &replayed);
   if (!replay.ok() && replay.code() != Status::Code::kNotFound) {
     _exit(kExitError);
   }
@@ -224,7 +224,7 @@ TEST_P(KillResumeTest, ResumesWithZeroRebilledQueries) {
 
     std::shared_ptr<CrawlState> replayed;
     ASSERT_TRUE(
-        ReplayFrontierLog(log_path, data.schema(), &replayed).ok());
+        LoadCheckpointFile(log_path, data.schema(), &replayed).ok());
     // Zero re-billing, both directions: the server billed exactly the
     // queries the log durably committed this generation.
     EXPECT_EQ(billed, replayed->queries_issued - committed_queries)

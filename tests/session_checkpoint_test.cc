@@ -154,28 +154,40 @@ TEST(SessionCheckpointTest, ResumingBudgetedCheckpointNeedsABudgetedSession) {
 TEST(SessionCheckpointTest, RecordedLabelSurvivesHostileCharacters) {
   auto data = MakeData(94);
   CrawlService service(data, std::max<uint64_t>(8, data->MaxPointMultiplicity()));
+  const std::string hostile = "quota: day #2,\nshard\t5";
   SessionOptions session_options;
-  session_options.label = "quota: day #2, shard\t5";
+  session_options.label = hostile;
   session_options.max_queries = 10;
   auto session = service.CreateSession(session_options);
   DfsCrawler crawler;
   CrawlResult partial = crawler.Crawl(session.get());
   ASSERT_TRUE(partial.status.IsResourceExhausted());
+  const uint64_t recorded_budget = session->budget_remaining();
 
-  std::stringstream stream;
+  std::ostringstream out;
   ASSERT_TRUE(
-      SaveSessionCheckpoint(*session, *partial.resume_state, &stream).ok());
+      SaveSessionCheckpoint(*session, *partial.resume_state, &out).ok());
 
+  // The escaped label keeps the record on one line: the file still loads
+  // and the recorded budget is restored.
   SessionOptions target_options;
   target_options.label = "target";
-  target_options.max_queries = 10;
+  target_options.max_queries = 25;
   auto target = service.CreateSession(target_options);
-  std::string recorded;
-  ASSERT_TRUE(target->ResumeFrom(&stream, /*restore_budget=*/true,
-                                 &recorded).ok());
-  EXPECT_EQ(recorded, "quota: day #2, shard\t5");
+  std::istringstream in(out.str());
+  std::shared_ptr<CrawlState> restored;
+  ASSERT_TRUE(LoadSessionCheckpoint(&in, target.get(), &restored).ok());
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(target->budget_remaining(), recorded_budget);
   // The label is an identity fixed at creation, never overwritten.
   EXPECT_EQ(target->label(), "target");
+
+  // The record itself carries the label exactly.
+  std::istringstream again(out.str());
+  SessionRecord record;
+  ASSERT_TRUE(LoadCheckpoint(&again, data->schema(), &restored, &record).ok());
+  EXPECT_EQ(record.label, hostile);
+  EXPECT_EQ(record.budget_remaining, recorded_budget);
 }
 
 TEST(SessionCheckpointTest, TruncatedSessionHeaderIsTypedAndAtomic) {
@@ -193,19 +205,33 @@ TEST(SessionCheckpointTest, TruncatedSessionHeaderIsTypedAndAtomic) {
       SaveSessionCheckpoint(*session, *partial.resume_state, &out).ok());
   const std::string text = out.str();
 
-  // Cut inside the session header (first three lines).
-  const size_t second_newline = text.find('\n', text.find('\n') + 1);
-  ASSERT_NE(second_newline, std::string::npos);
-  std::istringstream in(text.substr(0, second_newline));
+  // A load into `target` of `prefix` must fail typed, naming a line, and
+  // leave both the output state and the session budget untouched.
   auto target = service.CreateSession(budgeted);
   const uint64_t before = target->budget_remaining();
-  std::shared_ptr<CrawlState> restored;
-  Status s = LoadSessionCheckpoint(&in, target.get(), &restored);
-  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
-  EXPECT_NE(s.message().find("line"), std::string::npos) << s.ToString();
-  EXPECT_EQ(restored, nullptr);
-  // A failed resume never half-applies: the budget is untouched.
-  EXPECT_EQ(target->budget_remaining(), before);
+  ASSERT_NE(before, session->budget_remaining());
+  auto expect_atomic_failure = [&](const std::string& prefix) {
+    std::istringstream in(prefix);
+    std::shared_ptr<CrawlState> restored;
+    Status s = LoadSessionCheckpoint(&in, target.get(), &restored);
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_NE(s.message().find("line"), std::string::npos) << s.ToString();
+    EXPECT_EQ(restored, nullptr);
+    // A failed resume never half-applies: the budget is untouched.
+    EXPECT_EQ(target->budget_remaining(), before)
+        << "prefix of " << prefix.size() << " bytes";
+  };
+
+  // Cut inside the header (first two lines).
+  const size_t second_newline = text.find('\n', text.find('\n') + 1);
+  ASSERT_NE(second_newline, std::string::npos);
+  expect_atomic_failure(text.substr(0, second_newline));
+
+  // Cut at every line boundary before the end of the file.
+  for (size_t cut = 0; cut < text.size() - 1;
+       cut = text.find('\n', cut) + 1) {
+    expect_atomic_failure(text.substr(0, cut));
+  }
 }
 
 }  // namespace
