@@ -53,7 +53,7 @@ void EmitTable(const TablePrinter& table, const std::string& stem,
   if (!csv.status().ok()) return;
   csv.WriteRow(headers);
   for (const auto& row : rows) csv.WriteRow(row);
-  csv.Close();
+  (void)csv.Close();  // best-effort, like the rest of the mirroring
 }
 
 FigureTable::FigureTable(std::string title, std::string csv_stem,

@@ -307,7 +307,12 @@ Status DecodeQueryBatch(const std::string& payload, const SchemaPtr& schema,
 
 std::string EncodeResponse(const Response& response,
                            const uint64_t* content_hash) {
+  size_t bytes = 1 + 1 + (content_hash != nullptr ? 8 : 0) + 4;
+  for (const ReturnedTuple& rt : response.tuples) {
+    bytes += 8 + 8 * rt.tuple.size();
+  }
   WireWriter w;
+  w.Reserve(bytes);
   w.PutU8(response.overflow ? 1 : 0);
   w.PutU8(content_hash != nullptr ? 1 : 0);
   if (content_hash != nullptr) w.PutU64(*content_hash);

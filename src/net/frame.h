@@ -99,6 +99,9 @@ class WireWriter {
   /// u32 length + raw bytes.
   void PutString(const std::string& s);
 
+  /// Pre-sizes the buffer for an encoder that knows its payload size.
+  void Reserve(size_t bytes) { data_.reserve(bytes); }
+
   const std::string& data() const { return data_; }
   std::string Take() { return std::move(data_); }
 

@@ -84,8 +84,10 @@ struct ServiceEndpointOptions {
 
   /// Attach each response's 64-bit truncated SHA-256 content hash to its
   /// frame (protocol v2). Clients verify it at decode, so a corrupted
-  /// answer can never seed a client-side cache. One hash pass per
-  /// response — noise next to the round trip it protects.
+  /// answer can never seed a client-side cache. Each answer is hashed
+  /// twice, once here and once by the client: about 18 us per pass for a
+  /// 256-tuple, 6-attribute answer with the SHA-extensions compressor and
+  /// 160 us with the portable fallback (4-vCPU x86-64 VM, gcc 12 Release).
   bool attach_content_hashes = true;
 };
 

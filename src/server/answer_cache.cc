@@ -1,6 +1,7 @@
 // Copyright (c) hdc authors. Apache-2.0 license.
 #include "server/answer_cache.h"
 
+#include <cstring>
 #include <utility>
 
 #include "util/sha256.h"
@@ -45,16 +46,32 @@ std::string CanonicalQueryKey(const Query& query) {
 }
 
 uint64_t HashResponse(const Response& response) {
+  // The hashed stream is the answer's little-endian u64 words. They are
+  // staged in a stack buffer of whole blocks and handed to the hasher one
+  // full buffer at a time, so the compressor sees long runs of blocks
+  // instead of one call per word.
   Sha256Stream hash;
-  hash.UpdateU64(response.overflow ? 1 : 0);
-  hash.UpdateU64(response.tuples.size());
-  for (const ReturnedTuple& rt : response.tuples) {
-    hash.UpdateU64(rt.hidden_id);
-    hash.UpdateU64(rt.tuple.size());
-    for (const Value v : rt.tuple.values()) {
-      hash.UpdateU64(static_cast<uint64_t>(v));
+  uint8_t staged[512];
+  size_t used = 0;
+  const auto put = [&](uint64_t v) {
+    if (used == sizeof(staged)) {
+      hash.Update(staged, used);
+      used = 0;
     }
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v);
+#endif
+    std::memcpy(staged + used, &v, sizeof(v));  // one little-endian store
+    used += 8;
+  };
+  put(response.overflow ? 1 : 0);
+  put(response.tuples.size());
+  for (const ReturnedTuple& rt : response.tuples) {
+    put(rt.hidden_id);
+    put(rt.tuple.size());
+    for (const Value v : rt.tuple.values()) put(static_cast<uint64_t>(v));
   }
+  hash.Update(staged, used);
   return hash.Finish64();
 }
 

@@ -6,6 +6,8 @@
 // error instead of being trusted.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -264,6 +266,28 @@ TEST(ResponseCodecTest, ContentHashRoundTripsAndIsVerified) {
   ASSERT_TRUE(
       DecodeResponse(EncodeResponse(response), 3, &plain_decoded).ok());
   EXPECT_EQ(plain_decoded.size(), 2u);
+}
+
+// The committed fuzz seed was written by an earlier build's encoder and
+// hasher: decoding it re-hashes the answer with today's code, so a digest
+// that drifted by one bit fails here, not just in a live crawl.
+TEST(ResponseCodecTest, CommittedHashedSeedStillVerifies) {
+  std::ifstream in(std::string(HDC_FRAME_CORPUS_DIR) + "/response_hashed",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  ASSERT_GE(bytes.size(), 1u);
+  ASSERT_EQ(bytes[0], 5) << "first byte is the fuzz harness's frame selector";
+  const std::string payload = bytes.substr(1);
+
+  Response decoded;
+  uint64_t wire_hash = 0;
+  // The fuzz schema: a categorical and a numeric attribute.
+  ASSERT_TRUE(DecodeResponse(payload, /*arity=*/2, &decoded, &wire_hash).ok());
+  EXPECT_EQ(wire_hash, HashResponse(decoded));
+  EXPECT_EQ(wire_hash, 0xd61581549ab0b0d6ULL);
+  EXPECT_EQ(EncodeResponse(decoded, &wire_hash), payload);
 }
 
 TEST(ResponseCodecTest, CountBeyondPayloadRejected) {

@@ -87,7 +87,9 @@ TEST(ShardPlanTest, ShardsAreADisjointOrderPreservingCover) {
         EXPECT_FALSE(covered[gids[i]]) << "row dealt to two shards";
         covered[gids[i]] = true;
         // Order-preserving: local id order is global id order.
-        if (i > 0) EXPECT_LT(gids[i - 1], gids[i]);
+        if (i > 0) {
+          EXPECT_LT(gids[i - 1], gids[i]);
+        }
         // The shard row is the global row.
         EXPECT_EQ(shard_data.tuple(i), data->tuple(gids[i]));
         // The shard's priority slice is the global table's.
