@@ -1,8 +1,8 @@
 // Copyright (c) hdc authors. Apache-2.0 license.
 //
 // LocalIndex raw-speed microbench: wall time per predicate shape for each
-// evaluation engine (scan oracle / legacy single-driver / bitmap). The
-// dataset is a fixed synthetic 1M-row instance (override with --rows):
+// evaluation engine (scan oracle / bitmap). The dataset is a fixed
+// synthetic 1M-row instance (override with --rows):
 //
 //   Make  : categorical, 16 values, uniform  — straddles the array/bitset
 //                                              container cutover at 1M rows
@@ -17,7 +17,8 @@
 // non-time CSV columns (tuples, overflows) double as a cross-engine
 // equivalence check and pin the bench under tools/check_bench_regression.py.
 // The nightly gate additionally enforces the headline ratio: bitmap must
-// beat legacy by >= 4x wall time on the selective multi-predicate shape.
+// beat the scan oracle by >= 16x wall time on the selective
+// multi-predicate shape.
 //
 // Each shape's script is timed --repeats times and the minimum wall is
 // reported: the minimum is the least-noise estimator of the true cost on a
@@ -87,15 +88,14 @@ std::vector<Shape> BuildShapes(const SchemaPtr& schema, size_t rows,
         full.WithCategoricalEquals(1, 1 + (v * 7) % 64));
     // The headline shape: two dense predicates whose containers are both
     // bitsets at 1M rows, so the bitmap engine folds the conjunction with
-    // word-wide ANDs while legacy walks ~60k driver ids one binary search
-    // at a time. This row carries the >= 4x nightly ratio gate.
+    // word-wide ANDs while the scan tests every row. This row carries the
+    // >= 16x nightly ratio gate.
     shapes[1].queries.push_back(full.WithCategoricalEquals(0, 1 + v % 16)
                                     .WithCategoricalEquals(3,
                                                            1 + (v * 3) % 8));
     // Three-way narrow conjunction: each predicate passes thousands of
-    // rows, the conjunction a handful. The driver is small, so this is
-    // legacy's best case — the bitmap engine must win on intersection
-    // speed alone.
+    // rows, the conjunction a handful — the bitmap engine's sparse
+    // array-intersection path.
     shapes[2].queries.push_back(full.WithCategoricalEquals(0, 1 + v % 16)
                                     .WithCategoricalEquals(1, 1 + (v * 5) % 64)
                                     .WithCategoricalEquals(2,
@@ -161,8 +161,7 @@ int main(int argc, char** argv) {
       {"engine", "shape", "rows", "queries", "k", "tuples", "overflows",
        "wall_seconds", "qps_wall"});
 
-  for (IndexEngine engine :
-       {IndexEngine::kScan, IndexEngine::kLegacy, IndexEngine::kBitmap}) {
+  for (IndexEngine engine : {IndexEngine::kScan, IndexEngine::kBitmap}) {
     LocalServerOptions options;
     options.engine = engine;
     const auto build_start = std::chrono::steady_clock::now();

@@ -182,8 +182,6 @@ const char* IndexEngineName(IndexEngine engine) {
   switch (engine) {
     case IndexEngine::kScan:
       return "scan";
-    case IndexEngine::kLegacy:
-      return "legacy";
     case IndexEngine::kBitmap:
       return "bitmap";
   }
@@ -250,8 +248,8 @@ void LocalIndex::Bitmap::Finalize() {
 
 LocalIndex::LocalIndex(std::shared_ptr<const Dataset> dataset, uint64_t k,
                        std::unique_ptr<RankingPolicy> policy,
-                       LocalIndexOptions options)
-    : dataset_(std::move(dataset)), k_(k), options_(options) {
+                       IndexEngine engine)
+    : dataset_(std::move(dataset)), k_(k), engine_(engine) {
   HDC_CHECK(dataset_ != nullptr);
   HDC_CHECK_MSG(k_ >= 1, "the result limit k must be positive");
 
@@ -270,47 +268,8 @@ LocalIndex::LocalIndex(std::shared_ptr<const Dataset> dataset, uint64_t k,
     for (size_t i = 0; i < n; ++i) columns_[a][i] = dataset_->tuple(i)[a];
   }
 
-  build_stats_.engine = options_.engine;
-  switch (options_.engine) {
-    case IndexEngine::kScan:
-      break;  // no structures: every query walks the tuples
-    case IndexEngine::kLegacy:
-      BuildLegacyStructures();
-      break;
-    case IndexEngine::kBitmap:
-      BuildBitmapStructures();
-      break;
-  }
-}
-
-void LocalIndex::BuildLegacyStructures() {
-  const Schema& schema = *dataset_->schema();
-  const size_t d = schema.num_attributes();
-  const size_t n = dataset_->size();
-
-  postings_.assign(d, {});
-  sorted_ids_.assign(d, {});
-  sorted_values_.assign(d, {});
-  for (size_t a = 0; a < d; ++a) {
-    if (schema.IsCategorical(a)) {
-      postings_[a].assign(schema.domain_size(a) + 1, {});
-      for (size_t i = 0; i < n; ++i) {
-        postings_[a][static_cast<size_t>(columns_[a][i])].push_back(
-            static_cast<uint32_t>(i));
-      }
-    } else {
-      auto& ids = sorted_ids_[a];
-      ids.resize(n);
-      for (size_t i = 0; i < n; ++i) ids[i] = static_cast<uint32_t>(i);
-      const auto& col = columns_[a];
-      std::sort(ids.begin(), ids.end(), [&col](uint32_t x, uint32_t y) {
-        return col[x] != col[y] ? col[x] < col[y] : x < y;
-      });
-      auto& vals = sorted_values_[a];
-      vals.resize(n);
-      for (size_t i = 0; i < n; ++i) vals[i] = col[ids[i]];
-    }
-  }
+  // kScan builds no structures: every query walks the tuples.
+  if (engine_ == IndexEngine::kBitmap) BuildBitmapStructures();
 }
 
 void LocalIndex::BuildBitmapStructures() {
@@ -430,103 +389,6 @@ uint64_t LocalIndex::CountMatchesScan(const Query& query) const {
   uint64_t count = 0;
   for (size_t i = 0; i < n; ++i) {
     if (query.Matches(dataset_->tuple(i))) ++count;
-  }
-  return count;
-}
-
-// --- kLegacy ----------------------------------------------------------------
-
-void LocalIndex::CollectMatchesLegacy(const Query& query,
-                                      std::vector<uint32_t>* out) const {
-  const Schema& schema = *dataset_->schema();
-  const size_t d = schema.num_attributes();
-  const size_t n = dataset_->size();
-
-  // Pick the most selective constraining predicate as the candidate
-  // driver. Note Query::IsWildcard would be wrong here: it is relative to
-  // the *query's* schema, whose bounds a session's schema override may have
-  // narrowed below this dataset's — such a predicate still excludes rows.
-  size_t best_attr = d;
-  size_t best_size = n + 1;
-  for (size_t a = 0; a < d; ++a) {
-    if (CoversDomain(query, a)) continue;
-    const AttrInterval& ext = query.extent(a);
-    size_t size;
-    if (schema.IsCategorical(a)) {
-      // Categorical non-wildcard slots are always pinned.
-      size = postings_[a][static_cast<size_t>(ext.lo)].size();
-    } else {
-      const auto range = SortedRange(a, ext.lo, ext.hi);
-      size = range.second - range.first;
-    }
-    if (size < best_size) {
-      best_size = size;
-      best_attr = a;
-    }
-  }
-
-  if (best_attr == d) {
-    // Every predicate covers the whole server-side domain: all rows
-    // qualify.
-    out->resize(n);
-    for (size_t i = 0; i < n; ++i) (*out)[i] = static_cast<uint32_t>(i);
-    return;
-  }
-
-  const AttrInterval& ext = query.extent(best_attr);
-  if (schema.IsCategorical(best_attr)) {
-    for (uint32_t id : postings_[best_attr][static_cast<size_t>(ext.lo)]) {
-      if (VerifyRow(query, id, best_attr)) out->push_back(id);
-    }
-  } else {
-    const auto& ids = sorted_ids_[best_attr];
-    const auto range = SortedRange(best_attr, ext.lo, ext.hi);
-    for (size_t i = range.first; i < range.second; ++i) {
-      uint32_t id = ids[i];
-      if (VerifyRow(query, id, best_attr)) out->push_back(id);
-    }
-    // The driver range is ordered by value; restore id order so responses
-    // are independent of which index drove the query.
-    std::sort(out->begin(), out->end());
-  }
-}
-
-uint64_t LocalIndex::CountMatchesLegacy(const Query& query) const {
-  const Schema& schema = *dataset_->schema();
-  const size_t d = schema.num_attributes();
-  const size_t n = dataset_->size();
-
-  size_t best_attr = d;
-  size_t best_size = n + 1;
-  for (size_t a = 0; a < d; ++a) {
-    if (CoversDomain(query, a)) continue;
-    const AttrInterval& ext = query.extent(a);
-    size_t size;
-    if (schema.IsCategorical(a)) {
-      size = postings_[a][static_cast<size_t>(ext.lo)].size();
-    } else {
-      const auto range = SortedRange(a, ext.lo, ext.hi);
-      size = range.second - range.first;
-    }
-    if (size < best_size) {
-      best_size = size;
-      best_attr = a;
-    }
-  }
-  if (best_attr == d) return n;
-
-  uint64_t count = 0;
-  const AttrInterval& ext = query.extent(best_attr);
-  if (schema.IsCategorical(best_attr)) {
-    for (uint32_t id : postings_[best_attr][static_cast<size_t>(ext.lo)]) {
-      if (VerifyRow(query, id, best_attr)) ++count;
-    }
-  } else {
-    const auto& ids = sorted_ids_[best_attr];
-    const auto range = SortedRange(best_attr, ext.lo, ext.hi);
-    for (size_t i = range.first; i < range.second; ++i) {
-      if (VerifyRow(query, ids[i], best_attr)) ++count;
-    }
   }
   return count;
 }
@@ -762,8 +624,8 @@ void LocalIndex::AnswerQueryBitmap(const Query& query, Response* response,
     // Decide whether a numeric range should drive. The smallest range
     // (exact count via the sorted array) is materialized into a bitmap
     // when it is decisively cheaper than the best categorical bitmap —
-    // the classic "huge category, needle range" case the single-driver
-    // engine handled well and a blind bitmap intersection would not.
+    // the classic "huge category, needle range" case, where a blind
+    // bitmap intersection would walk the whole category.
     uint64_t best_bitmap = UINT64_MAX;
     size_t best_range_slot = plan.size();
     for (size_t i = 0; i < plan.size(); ++i) {
@@ -895,15 +757,8 @@ uint64_t LocalIndex::CountMatchesBitmap(const Query& query) const {
 // --- engine dispatch --------------------------------------------------------
 
 uint64_t LocalIndex::CountMatches(const Query& query) const {
-  switch (options_.engine) {
-    case IndexEngine::kScan:
-      return CountMatchesScan(query);
-    case IndexEngine::kLegacy:
-      return CountMatchesLegacy(query);
-    case IndexEngine::kBitmap:
-      return CountMatchesBitmap(query);
-  }
-  return 0;
+  return engine_ == IndexEngine::kScan ? CountMatchesScan(query)
+                                       : CountMatchesBitmap(query);
 }
 
 void LocalIndex::AnswerQuery(const Query& query, Response* response,
@@ -915,7 +770,7 @@ void LocalIndex::AnswerQuery(const Query& query, Response* response,
                 "query schema does not match the server's data space");
   ++stats->queries;
 
-  if (options_.engine == IndexEngine::kBitmap) {
+  if (engine_ == IndexEngine::kBitmap) {
     AnswerQueryBitmap(query, response, scratch);
     if (response->overflow) ++stats->overflows;
     stats->tuples += response->tuples.size();
@@ -924,11 +779,7 @@ void LocalIndex::AnswerQuery(const Query& query, Response* response,
 
   std::vector<uint32_t>& matches = scratch->ids;
   matches.clear();
-  if (options_.engine == IndexEngine::kLegacy) {
-    CollectMatchesLegacy(query, &matches);
-  } else {
-    CollectMatchesScan(query, &matches);
-  }
+  CollectMatchesScan(query, &matches);
   response->tuples.clear();
 
   const size_t count = matches.size();

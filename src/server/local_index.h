@@ -8,14 +8,10 @@
 // const and touches no mutable state, so concurrent evaluation from many
 // threads needs no synchronisation.
 //
-// Evaluation runs on one of three engines (LocalIndexOptions::engine):
+// Evaluation runs on one of two engines (the constructor's `engine`):
 //
 //   kScan    — full scan per query. No index structures at all; the slow,
-//              independent oracle the other engines are cross-checked
-//              against.
-//   kLegacy  — single-driver postings/sorted-array evaluation: the most
-//              selective predicate supplies candidates, every candidate is
-//              verified row-at-a-time against the remaining predicates.
+//              independent oracle kBitmap is cross-checked against.
 //   kBitmap  — the default. Roaring-style block-compressed bitmaps: every
 //              categorical value owns one container per 65536-id block,
 //              stored as a sorted uint16 array while sparse and flipped to
@@ -31,8 +27,8 @@
 //              flags overflow the moment candidate k+1 appears, and never
 //              materializes the full match set.
 //
-// All three engines return bit-identical responses; the conformance suite
-// and tests/index_engine_test.cc enforce it.
+// Both engines return bit-identical responses; the conformance suite and
+// tests/index_engine_test.cc enforce it.
 //
 // The mutable half of a conversation (statistics, budgets, logs) lives in
 // whoever holds the index: LocalServer for the classic single-crawl setup,
@@ -54,26 +50,20 @@ namespace hdc {
 
 class WorkerPool;
 
-/// Which evaluation core answers queries. All engines are answer-identical;
+/// Which evaluation core answers queries. Both engines are answer-identical;
 /// they differ only in wall time and in the structures built at
 /// construction.
 enum class IndexEngine {
   kScan,    ///< full scan; the differential-test oracle
-  kLegacy,  ///< single-driver postings + per-row verification
   kBitmap,  ///< block-compressed bitmaps + zone maps + streaming top-k
 };
 
-/// "scan" / "legacy" / "bitmap".
+/// "scan" / "bitmap".
 const char* IndexEngineName(IndexEngine engine);
-
-struct LocalIndexOptions {
-  IndexEngine engine = IndexEngine::kBitmap;
-};
 
 /// What LocalIndex built at construction time; printed by examples and
 /// benches so a run proves which path it exercised.
 struct IndexBuildStats {
-  IndexEngine engine = IndexEngine::kBitmap;
   /// kBitmap only: containers across all categorical value bitmaps.
   uint64_t array_containers = 0;
   uint64_t bitset_containers = 0;
@@ -101,7 +91,7 @@ struct QueryStats {
 /// TrimAfterBatch drops oversized retention so one huge query cannot pin
 /// peak-size buffers for the lifetime of a pool thread.
 struct EvalScratch {
-  /// Match collection (kScan/kLegacy) and the bounded top-k selection heap
+  /// Match collection (kScan) and the bounded top-k selection heap
   /// (kBitmap, never more than k entries).
   std::vector<uint32_t> ids;
 
@@ -136,12 +126,12 @@ class LocalIndex {
   /// reproducibility).
   LocalIndex(std::shared_ptr<const Dataset> dataset, uint64_t k,
              std::unique_ptr<RankingPolicy> policy = nullptr,
-             LocalIndexOptions options = {});
+             IndexEngine engine = IndexEngine::kBitmap);
 
   uint64_t k() const { return k_; }
   const SchemaPtr& schema() const { return dataset_->schema(); }
   const Dataset& dataset() const { return *dataset_; }
-  IndexEngine engine() const { return options_.engine; }
+  IndexEngine engine() const { return engine_; }
   const IndexBuildStats& build_stats() const { return build_stats_; }
 
   /// True iff Problem 1 is solvable against this index: no point of the
@@ -150,7 +140,7 @@ class LocalIndex {
 
   /// Exact |q(D)| (no k-truncation); used by tests as ground truth.
   /// Thread-safe and materialization-free: counts flow from popcounts over
-  /// intersected bitmap blocks (or per-row tests on the oracle engines)
+  /// intersected bitmap blocks (or per-row tests on the kScan oracle)
   /// without ever building a match vector.
   uint64_t CountMatches(const Query& query) const;
 
@@ -225,7 +215,6 @@ class LocalIndex {
     kPartial,  ///< boundary block: rows must be tested
   };
 
-  void BuildLegacyStructures();
   void BuildBitmapStructures();
 
   /// Resolves `query`'s constraining predicates (domain-covering ones are
@@ -248,14 +237,11 @@ class LocalIndex {
                           const uint32_t* driver_epochs, uint32_t epoch,
                           Visitor&& visit) const;
 
-  /// Appends all row ids matching `query` to `out` (oracle engines).
+  /// Appends all row ids matching `query` to `out` (kScan).
   void CollectMatchesScan(const Query& query,
                           std::vector<uint32_t>* out) const;
-  void CollectMatchesLegacy(const Query& query,
-                            std::vector<uint32_t>* out) const;
 
   uint64_t CountMatchesScan(const Query& query) const;
-  uint64_t CountMatchesLegacy(const Query& query) const;
   uint64_t CountMatchesBitmap(const Query& query) const;
 
   void AnswerQueryBitmap(const Query& query, Response* response,
@@ -291,7 +277,7 @@ class LocalIndex {
 
   std::shared_ptr<const Dataset> dataset_;
   uint64_t k_;
-  LocalIndexOptions options_;
+  IndexEngine engine_;
   IndexBuildStats build_stats_;
 
   /// priorities_[id]: higher is returned first; ties by id ascending.
@@ -300,13 +286,9 @@ class LocalIndex {
   /// Column-major copy of the data: columns_[attr][id].
   std::vector<std::vector<Value>> columns_;
 
-  /// kLegacy: categorical attr -> (value -> sorted row ids). Indexed by
-  /// value (1..U); slot 0 unused.
-  std::vector<std::vector<std::vector<uint32_t>>> postings_;
-
-  /// kLegacy + kBitmap: numeric attr -> row ids sorted by value, plus the
-  /// aligned sorted values for binary search (kBitmap uses them for exact
-  /// range selectivity and to materialize selective range drivers).
+  /// kBitmap: numeric attr -> row ids sorted by value, plus the aligned
+  /// sorted values for binary search (exact range selectivity, selective
+  /// range drivers, and range-driven counting).
   std::vector<std::vector<uint32_t>> sorted_ids_;
   std::vector<std::vector<Value>> sorted_values_;
 

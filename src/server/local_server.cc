@@ -11,7 +11,7 @@ LocalServer::LocalServer(std::shared_ptr<const Dataset> dataset, uint64_t k,
                          LocalServerOptions options)
     : LocalServer(std::make_shared<const LocalIndex>(
                       std::move(dataset), k, std::move(policy),
-                      LocalIndexOptions{options.engine}),
+                      options.engine),
                   options) {}
 
 LocalServer::LocalServer(std::shared_ptr<const LocalIndex> index,

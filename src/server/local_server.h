@@ -29,11 +29,10 @@ namespace hdc {
 class WorkerPool;
 
 struct LocalServerOptions {
-  /// Which LocalIndex evaluation engine answers queries (see
-  /// LocalIndexOptions::engine): kBitmap is the fast default; kLegacy and
-  /// kScan are the slower oracles the fast path is cross-checked against.
-  /// Only used by the dataset-taking constructor — a shared prebuilt index
-  /// brings its own engine.
+  /// Which LocalIndex evaluation engine answers queries (see IndexEngine):
+  /// kBitmap is the fast default; kScan is the slow oracle it is
+  /// cross-checked against. Only used by the dataset-taking constructor —
+  /// a shared prebuilt index brings its own engine.
   IndexEngine engine = IndexEngine::kBitmap;
 
   /// Upper bound on threads (including the calling one) an IssueBatch call

@@ -69,12 +69,10 @@ ShardPlan ShardPlan::Partition(std::shared_ptr<const Dataset> dataset,
 }
 
 std::shared_ptr<const LocalIndex> ShardPlan::BuildShardIndex(
-    size_t shard, IndexEngine engine) const {
-  LocalIndexOptions options;
-  options.engine = engine;
+    size_t shard) const {
   return std::make_shared<const LocalIndex>(
       shards_[shard].dataset, k_,
-      MakeFixedPriorityPolicy(shards_[shard].priorities), options);
+      MakeFixedPriorityPolicy(shards_[shard].priorities));
 }
 
 // --- ShardedServer ----------------------------------------------------------
@@ -109,15 +107,12 @@ ShardedServer::ShardedServer(
 }
 
 std::unique_ptr<ShardedServer> ShardedServer::OverPlan(
-    const ShardPlan& plan, IndexEngine engine) {
+    const ShardPlan& plan) {
   std::vector<ShardBackend> backends;
   backends.reserve(plan.num_shards());
   for (size_t s = 0; s < plan.num_shards(); ++s) {
     ShardBackend backend;
-    LocalServerOptions server_options;
-    server_options.engine = engine;
-    backend.server = std::make_unique<LocalServer>(
-        plan.BuildShardIndex(s, engine), server_options);
+    backend.server = std::make_unique<LocalServer>(plan.BuildShardIndex(s));
     backend.global_ids = plan.shard_global_ids(s);
     backends.push_back(std::move(backend));
   }

@@ -123,8 +123,7 @@ class ShardPlan {
 
   /// Builds shard `shard`'s evaluation index: the shard dataset under the
   /// shard's slice of the global ranking.
-  std::shared_ptr<const LocalIndex> BuildShardIndex(
-      size_t shard, IndexEngine engine = IndexEngine::kBitmap) const;
+  std::shared_ptr<const LocalIndex> BuildShardIndex(size_t shard) const;
 
  private:
   struct Shard {
@@ -177,8 +176,7 @@ class ShardedServer : public HiddenDbServer {
 
   /// In-process sharding over a plan: one LocalServer per shard, each on
   /// its shard index under the global ranking.
-  static std::unique_ptr<ShardedServer> OverPlan(
-      const ShardPlan& plan, IndexEngine engine = IndexEngine::kBitmap);
+  static std::unique_ptr<ShardedServer> OverPlan(const ShardPlan& plan);
 
   Status IssueBatch(const std::vector<Query>& queries,
                     std::vector<Response>* responses) override;

@@ -1,8 +1,8 @@
 // Copyright (c) hdc authors. Apache-2.0 license.
 //
-// Engine-equivalence differential suite: the three LocalIndex evaluation
-// engines (kScan oracle, kLegacy single-driver, kBitmap block-compressed
-// bitmaps) must return bit-identical responses and counts on every query.
+// Engine-equivalence differential suite: the two LocalIndex evaluation
+// engines (kScan oracle, kBitmap block-compressed bitmaps) must return
+// bit-identical responses and counts on every query.
 // The randomized battery sweeps schema shapes, dataset sizes straddling
 // the bitmap block and array/bitset cutover boundaries, k in {1, 2, n},
 // narrowed session schema views, and degenerate extents.
@@ -20,8 +20,7 @@
 namespace hdc {
 namespace {
 
-constexpr IndexEngine kEngines[] = {IndexEngine::kScan, IndexEngine::kLegacy,
-                                    IndexEngine::kBitmap};
+constexpr IndexEngine kEngines[] = {IndexEngine::kScan, IndexEngine::kBitmap};
 
 std::string Digest(const Response& r) {
   std::ostringstream out;
@@ -33,10 +32,10 @@ std::string Digest(const Response& r) {
 }
 
 /// One server per engine over the same dataset, k and ranking seed.
-struct EngineTrio {
+struct EnginePair {
   std::vector<std::unique_ptr<LocalServer>> servers;
 
-  EngineTrio(std::shared_ptr<const Dataset> dataset, uint64_t k,
+  EnginePair(std::shared_ptr<const Dataset> dataset, uint64_t k,
              uint64_t policy_seed = 11) {
     for (IndexEngine engine : kEngines) {
       LocalServerOptions options;
@@ -46,8 +45,9 @@ struct EngineTrio {
     }
   }
 
-  /// Issues `query` on every engine and fails the test (returning false)
-  /// on any response or count divergence from the kScan oracle.
+  /// Issues `query` on every engine and records a test failure on any
+  /// response or count divergence from the kScan oracle (a fatal one if an
+  /// Issue call itself fails).
   void ExpectAgreement(const Query& query) {
     Response want;
     ASSERT_TRUE(servers[0]->Issue(query, &want).ok());
@@ -117,10 +117,10 @@ TEST(IndexEngineTest, RandomizedDifferentialAcrossSchemas) {
     gen.seed = ++seed;
     auto data = std::make_shared<const Dataset>(GenerateSyntheticMixed(gen));
 
-    EngineTrio trio(data, config.k, /*policy_seed=*/seed);
+    EnginePair pair(data, config.k, /*policy_seed=*/seed);
     Rng rng(seed * 7);
     for (int trial = 0; trial < 200; ++trial) {
-      trio.ExpectAgreement(
+      pair.ExpectAgreement(
           RandomQuery(data->schema(), config.value_range, &rng));
       if (HasFatalFailure()) return;
     }
@@ -142,7 +142,7 @@ TEST(IndexEngineTest, ContainerCutoverStraddlingFrequencies) {
   gen.seed = 42;
   auto data = std::make_shared<const Dataset>(GenerateSyntheticMixed(gen));
 
-  EngineTrio trio(data, /*k=*/32);
+  EnginePair pair(data, /*k=*/32);
   SchemaPtr schema = data->schema();
   Rng rng(99);
   // Every (cat0, cat1) pair, with and without a numeric band.
@@ -151,14 +151,14 @@ TEST(IndexEngineTest, ContainerCutoverStraddlingFrequencies) {
       Query q = Query::FullSpace(schema)
                     .WithCategoricalEquals(0, c0)
                     .WithCategoricalEquals(1, c1);
-      trio.ExpectAgreement(q);
+      pair.ExpectAgreement(q);
       Value lo = rng.UniformInt(0, 499);
-      trio.ExpectAgreement(q.WithNumericRange(2, lo, rng.UniformInt(lo, 499)));
+      pair.ExpectAgreement(q.WithNumericRange(2, lo, rng.UniformInt(lo, 499)));
       if (HasFatalFailure()) return;
     }
   }
   for (int trial = 0; trial < 100; ++trial) {
-    trio.ExpectAgreement(RandomQuery(schema, 500, &rng));
+    pair.ExpectAgreement(RandomQuery(schema, 500, &rng));
     if (HasFatalFailure()) return;
   }
 }
@@ -176,16 +176,16 @@ TEST(IndexEngineTest, BoundaryExtents) {
   auto shared = std::shared_ptr<const Dataset>(std::move(data));
 
   for (uint64_t k : {uint64_t{1}, uint64_t{2}, uint64_t{400}}) {
-    EngineTrio trio(shared, k);
+    EnginePair pair(shared, k);
     const Query full = Query::FullSpace(schema);
-    trio.ExpectAgreement(full);                            // all-wildcard
-    trio.ExpectAgreement(full.WithNumericRange(1, 0, 100));   // full domain
-    trio.ExpectAgreement(full.WithNumericRange(1, 37, 37));   // lo == hi
-    trio.ExpectAgreement(full.WithNumericRange(1, 0, 0));     // left edge
-    trio.ExpectAgreement(full.WithNumericRange(1, 100, 100)); // right edge
-    trio.ExpectAgreement(
+    pair.ExpectAgreement(full);                            // all-wildcard
+    pair.ExpectAgreement(full.WithNumericRange(1, 0, 100));   // full domain
+    pair.ExpectAgreement(full.WithNumericRange(1, 37, 37));   // lo == hi
+    pair.ExpectAgreement(full.WithNumericRange(1, 0, 0));     // left edge
+    pair.ExpectAgreement(full.WithNumericRange(1, 100, 100)); // right edge
+    pair.ExpectAgreement(
         full.WithNumericRange(1, 37, 37).WithNumericRange(2, 37, 37));
-    trio.ExpectAgreement(full.WithCategoricalEquals(0, 1)
+    pair.ExpectAgreement(full.WithCategoricalEquals(0, 1)
                              .WithNumericRange(1, 0, 100)
                              .WithNumericRange(2, 100, 100));
     if (HasFatalFailure()) return;
@@ -215,11 +215,11 @@ TEST(IndexEngineTest, NarrowedSessionSchemaView) {
   SchemaPtr narrowed = Schema::Make(std::move(narrowed_specs));
   ASSERT_TRUE(narrowed->CompatibleWith(wide));
 
-  EngineTrio trio(data, /*k=*/24);
+  EnginePair pair(data, /*k=*/24);
   const Query narrowed_full = Query::FullSpace(narrowed);
-  trio.ExpectAgreement(narrowed_full);
-  trio.ExpectAgreement(narrowed_full.WithCategoricalEquals(0, 2));
-  trio.ExpectAgreement(narrowed_full.WithNumericRange(2, 100, 300));
+  pair.ExpectAgreement(narrowed_full);
+  pair.ExpectAgreement(narrowed_full.WithCategoricalEquals(0, 2));
+  pair.ExpectAgreement(narrowed_full.WithNumericRange(2, 100, 300));
   Rng rng(23);
   for (int trial = 0; trial < 100; ++trial) {
     Query q = Query::FullSpace(narrowed);
@@ -234,7 +234,7 @@ TEST(IndexEngineTest, NarrowedSessionSchemaView) {
       Value lo = rng.UniformInt(0, 999);
       q = q.WithNumericRange(2, lo, rng.UniformInt(lo, 999));
     }
-    trio.ExpectAgreement(q);
+    pair.ExpectAgreement(q);
     if (HasFatalFailure()) return;
   }
 }
@@ -264,7 +264,7 @@ TEST(IndexEngineTest, BlockLocalIdZeroSurvivesArrayIntersection) {
 
   // k = n resolves the whole bag in id order: the digest then compares
   // every matched id, so a single dropped boundary row fails loudly.
-  EngineTrio resolved(shared, /*k=*/n);
+  EnginePair resolved(shared, /*k=*/n);
   const Query full = Query::FullSpace(schema);
   const Query conj =
       full.WithCategoricalEquals(0, 1).WithCategoricalEquals(1, 1);
@@ -272,7 +272,7 @@ TEST(IndexEngineTest, BlockLocalIdZeroSurvivesArrayIntersection) {
   resolved.ExpectAgreement(full.WithCategoricalEquals(0, 1));
 
   // Small k exercises the overflowing heap path over the same arrays.
-  EngineTrio heap(shared, /*k=*/8);
+  EnginePair heap(shared, /*k=*/8);
   heap.ExpectAgreement(conj);
   heap.ExpectAgreement(full.WithCategoricalEquals(1, 1));
 }
@@ -281,9 +281,9 @@ TEST(IndexEngineTest, EmptyDataset) {
   SchemaPtr schema = Schema::Make({AttributeSpec::Categorical("C", 3),
                                    AttributeSpec::NumericBounded("X", 0, 9)});
   auto data = std::make_shared<const Dataset>(Dataset(schema));
-  EngineTrio trio(data, /*k=*/1);
-  trio.ExpectAgreement(Query::FullSpace(schema));
-  trio.ExpectAgreement(Query::FullSpace(schema)
+  EnginePair pair(data, /*k=*/1);
+  pair.ExpectAgreement(Query::FullSpace(schema));
+  pair.ExpectAgreement(Query::FullSpace(schema)
                            .WithCategoricalEquals(0, 1)
                            .WithNumericRange(1, 4, 4));
 }

@@ -123,53 +123,6 @@ TEST(LocalServerTest, CategoricalPredicates) {
   EXPECT_EQ(r.tuples[0].tuple, Tuple({1, 2}));
 }
 
-// Property: the indexed evaluator agrees exactly with the naive scan
-// evaluator on random queries over random mixed data.
-TEST(LocalServerTest, IndexedMatchesScanOnRandomQueries) {
-  SyntheticMixedOptions gen;
-  gen.domain_sizes = {5, 9};
-  gen.num_numeric = 2;
-  gen.n = 3000;
-  gen.value_range = 50;
-  gen.zipf_s = 0.7;
-  gen.seed = 77;
-  auto data = std::make_shared<Dataset>(GenerateSyntheticMixed(gen));
-
-  LocalServerOptions scan_opts;
-  scan_opts.engine = IndexEngine::kScan;
-  LocalServer indexed(data, /*k=*/16, MakeRandomPriorityPolicy(5));
-  LocalServer scan(data, /*k=*/16, MakeRandomPriorityPolicy(5), scan_opts);
-
-  Rng rng(123);
-  SchemaPtr schema = data->schema();
-  for (int trial = 0; trial < 300; ++trial) {
-    Query q = Query::FullSpace(schema);
-    if (rng.Bernoulli(0.5)) {
-      q = q.WithCategoricalEquals(0, rng.UniformInt(1, 5));
-    }
-    if (rng.Bernoulli(0.5)) {
-      q = q.WithCategoricalEquals(1, rng.UniformInt(1, 9));
-    }
-    if (rng.Bernoulli(0.7)) {
-      Value lo = rng.UniformInt(0, 49);
-      q = q.WithNumericRange(2, lo, rng.UniformInt(lo, 49));
-    }
-    if (rng.Bernoulli(0.7)) {
-      Value lo = rng.UniformInt(0, 49);
-      q = q.WithNumericRange(3, lo, rng.UniformInt(lo, 49));
-    }
-    Response ri, rs;
-    ASSERT_TRUE(indexed.Issue(q, &ri).ok());
-    ASSERT_TRUE(scan.Issue(q, &rs).ok());
-    ASSERT_EQ(ri.overflow, rs.overflow) << q.ToString();
-    ASSERT_EQ(ri.size(), rs.size()) << q.ToString();
-    for (size_t i = 0; i < ri.size(); ++i) {
-      ASSERT_EQ(ri.tuples[i].hidden_id, rs.tuples[i].hidden_id)
-          << q.ToString();
-    }
-  }
-}
-
 TEST(LocalServerTest, SchemaAccessor) {
   auto data = OneDimData();
   LocalServer server(data, 4);

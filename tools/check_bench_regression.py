@@ -21,10 +21,11 @@ baseline but absent from the current run is a hard failure; a new group in
 the current run is a warning until its rows are committed to the baseline.
 
 bench_index.csv additionally carries a speedup gate: on the headline
-"conjunction-selective" shape the bitmap engine must beat the legacy engine
-by at least 4x wall time. Falling under the floor is a hard failure even
+"conjunction-selective" shape the bitmap engine must beat the scan oracle
+by at least 16x wall time. Falling under the floor is a hard failure even
 though the cells are wall times — the ratio is between two engines measured
-back-to-back on the same machine, so machine speed cancels out.
+back-to-back on the same machine, so machine speed cancels out. A run whose
+bitmap wall is zero (or missing) cannot evaluate the ratio and hard-fails.
 bench_cache.csv carries the analogous gate on *billed query counts*: at the
 1% mutation rate the delta re-crawl must bill at least 10x fewer server
 queries than the from-scratch re-crawl. bench_planner.csv carries the
@@ -113,10 +114,12 @@ def compare_rows(name: str, header: list, base_rows: list, cur_rows: list,
 GROUP_COLUMNS = ("transport", "engine", "shards", "cache", "plan")
 
 # bench_index speedup gate: on the headline shape the bitmap engine must
-# beat legacy by this factor. See bench/bench_index.cc.
+# beat the scan oracle by this factor. See bench/bench_index.cc. Measured
+# scan/bitmap there is 30-44x; 16x is the former 4x bitmap-vs-legacy floor
+# times the smallest scan/legacy ratio (4.03) the committed CSVs recorded.
 INDEX_SPEEDUP_FILE = "bench_index.csv"
 INDEX_SPEEDUP_SHAPE = "conjunction-selective"
-INDEX_SPEEDUP_FLOOR = 4.0
+INDEX_SPEEDUP_FLOOR = 16.0
 
 # bench_cache query gate: at the headline mutation rate the delta re-crawl
 # must bill this many times fewer server queries than the from-scratch
@@ -143,7 +146,7 @@ def group_by_column(rows: list, key_idx: int) -> dict:
 
 
 def check_index_speedup(header: list, rows: list, failures: list) -> None:
-    """Hard-fails unless bitmap beats legacy by INDEX_SPEEDUP_FLOOR on the
+    """Hard-fails unless bitmap beats scan by INDEX_SPEEDUP_FLOOR on the
     headline shape. Operates on the *current* run: the ratio is between two
     engines measured back-to-back, so machine speed cancels out and the
     check stays meaningful even though the cells are wall times."""
@@ -160,20 +163,21 @@ def check_index_speedup(header: list, rows: list, failures: list) -> None:
         if len(row) > max(engine_idx, shape_idx, wall_idx) and \
                 row[shape_idx] == INDEX_SPEEDUP_SHAPE:
             walls[row[engine_idx]] = as_float(row[wall_idx])
-    legacy, bitmap = walls.get("legacy"), walls.get("bitmap")
-    if legacy is None or bitmap is None:
+    scan, bitmap = walls.get("scan"), walls.get("bitmap")
+    if scan is None or bitmap is None or bitmap <= 0:
+        # A zero bitmap wall is below timer resolution: the ratio is
+        # unbounded, not evidence of a speedup.
         failures.append(
             f"{INDEX_SPEEDUP_FILE}: shape '{INDEX_SPEEDUP_SHAPE}' lacks "
-            "legacy/bitmap wall times — cannot evaluate the speedup gate")
+            "positive scan/bitmap wall times — cannot evaluate the speedup "
+            "gate")
         return
-    if bitmap <= 0:
-        return  # degenerate timer resolution; the ratio is vacuously fine
-    ratio = legacy / bitmap
+    ratio = scan / bitmap
     if ratio < INDEX_SPEEDUP_FLOOR:
         failures.append(
             f"{INDEX_SPEEDUP_FILE} [{INDEX_SPEEDUP_SHAPE}]: bitmap is only "
-            f"{ratio:.2f}x faster than legacy (floor "
-            f"{INDEX_SPEEDUP_FLOOR:.1f}x; legacy {legacy:.6f}s, bitmap "
+            f"{ratio:.2f}x faster than scan (floor "
+            f"{INDEX_SPEEDUP_FLOOR:.1f}x; scan {scan:.6f}s, bitmap "
             f"{bitmap:.6f}s)")
 
 
@@ -267,7 +271,7 @@ def compare_file(baseline: Path, current: Path, time_tolerance: float,
     if group_col is not None:
         # Same-group comparison only: loopback wall-times must never be
         # judged against in-process baselines, nor bitmap-engine rows
-        # against legacy ones. Rows are grouped by the tag column and each
+        # against scan ones. Rows are grouped by the tag column and each
         # group compared positionally.
         key_idx = base_header.index(group_col)
         base_groups = group_by_column(base_rows, key_idx)

@@ -22,7 +22,14 @@ baseline/current directories and asserts each guard actually fires:
   7. a pushdown only 2x cheaper than crawl-then-filter trips the 3x
      planner floor;
   8. a planner run missing the pushdown row cannot evaluate the gate and
-     hard-fails instead of skipping it.
+     hard-fails instead of skipping it;
+  9. a bench_index run where bitmap beats scan by >= 16x on the headline
+     shape passes the index speedup gate;
+ 10. a bitmap only 10x faster than scan trips the 16x index floor;
+ 11. an index run missing the scan row cannot evaluate the gate and
+     hard-fails instead of skipping it;
+ 12. a zero bitmap wall (below timer resolution) cannot evaluate the
+     ratio and hard-fails instead of passing vacuously.
 
 Exit status: 0 when every expectation holds, 1 otherwise.
 """
@@ -48,6 +55,15 @@ plan,algorithm,selectivity,billed queries,extracted,wall_seconds
 filter,hybrid,0.033654,1086,69768,0.059794
 pushdown,hybrid,0.033654,95,2348,0.002506
 subspace,hybrid,0.033654,104,2348,0.001137
+"""
+
+
+BASELINE_INDEX_CSV = """\
+engine,shape,rows,queries,k,tuples,overflows,wall_seconds,qps_wall
+scan,cat-1pred,1000000,12,100,1200,12,0.124265,96.6
+scan,conjunction-selective,1000000,12,100,1200,12,0.159643,75.2
+bitmap,cat-1pred,1000000,12,100,1200,12,0.002008,5974.9
+bitmap,conjunction-selective,1000000,12,100,1200,12,0.004278,2804.9
 """
 
 
@@ -172,6 +188,50 @@ def main() -> int:
         code, out = run_gate(trimmed_planner_baseline, current)
         expect("missing pushdown row hard-fails",
                code == 1 and "cannot evaluate the planner gate" in out, out,
+               problems)
+
+        # 9. Bitmap ~37x faster than scan on the headline shape passes.
+        index_baseline = root / "index_baseline"
+        write(index_baseline / "bench_index.csv", BASELINE_INDEX_CSV)
+        current = root / "index_clean"
+        write(current / "bench_index.csv", BASELINE_INDEX_CSV)
+        code, out = run_gate(index_baseline, current)
+        expect("index speedup above floor passes", code == 0, out, problems)
+
+        # 10. A bitmap only 10x faster than scan trips the 16x floor. Wall
+        #     drift alone only warns, so the floor is what fails.
+        current = root / "index_below_floor"
+        write(current / "bench_index.csv", BASELINE_INDEX_CSV.replace(
+            "bitmap,conjunction-selective,1000000,12,100,1200,12,0.004278,",
+            "bitmap,conjunction-selective,1000000,12,100,1200,12,0.015964,"))
+        code, out = run_gate(index_baseline, current)
+        expect("below-floor index ratio hard-fails",
+               code == 1 and "faster than scan" in out, out, problems)
+
+        # 11. Dropping the scan row of the headline shape must fail the
+        #     gate, not skip it. (Trim both sides to isolate the gate from
+        #     the row-count check.)
+        trimmed_index = "\n".join(
+            line for line in BASELINE_INDEX_CSV.splitlines()
+            if not line.startswith("scan,conjunction-selective,")) + "\n"
+        current = root / "index_no_scan"
+        write(current / "bench_index.csv", trimmed_index)
+        trimmed_index_baseline = root / "index_no_scan_baseline"
+        write(trimmed_index_baseline / "bench_index.csv", trimmed_index)
+        code, out = run_gate(trimmed_index_baseline, current)
+        expect("missing scan row hard-fails",
+               code == 1 and "cannot evaluate the speedup gate" in out, out,
+               problems)
+
+        # 12. A zero bitmap wall makes the ratio unbounded: it must fail as
+        #     unevaluable rather than pass.
+        current = root / "index_zero_bitmap"
+        write(current / "bench_index.csv", BASELINE_INDEX_CSV.replace(
+            "bitmap,conjunction-selective,1000000,12,100,1200,12,0.004278,",
+            "bitmap,conjunction-selective,1000000,12,100,1200,12,0.000000,"))
+        code, out = run_gate(index_baseline, current)
+        expect("zero bitmap wall hard-fails",
+               code == 1 and "cannot evaluate the speedup gate" in out, out,
                problems)
 
     if problems:
