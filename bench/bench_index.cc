@@ -16,9 +16,11 @@
 // Every engine answers the identical deterministic query script, so the
 // non-time CSV columns (tuples, overflows) double as a cross-engine
 // equivalence check and pin the bench under tools/check_bench_regression.py.
-// The nightly gate additionally enforces the headline ratio: bitmap must
+// The nightly gate additionally enforces per-shape ratios: bitmap must
 // beat the scan oracle by >= 16x wall time on the selective
-// multi-predicate shape.
+// multi-predicate shape, and on the top-k shapes the rank-ordered layout
+// stops early by >= 143x (all-wildcard), >= 46x (range-wide-random) and
+// >= 29x (topk-overflow-heavy).
 //
 // Each shape's script is timed --repeats times and the minimum wall is
 // reported: the minimum is the least-noise estimator of the true cost on a

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -175,8 +176,36 @@ size_t IntersectSorted(const uint16_t* a, size_t na, const uint16_t* b,
   return IntersectGalloping(a, na, b, nb, out);
 }
 
-}  // namespace
+/// A sort key and the row id it belongs to.
+struct KeyedId {
+  uint64_t key;
+  uint32_t id;
+};
 
+/// Stable LSD radix sort of `items` by key ascending, 16 bits per pass. A
+/// pass whose digit is the same in every key is skipped, so narrow keys
+/// (small value spans, id-derived priorities) cost one or two linear
+/// passes instead of a comparison sort.
+void RadixSortByKey(std::vector<KeyedId>* items) {
+  if (items->empty()) return;
+  uint64_t varying = 0;
+  for (const KeyedId& item : *items) varying |= item.key ^ (*items)[0].key;
+  std::vector<KeyedId> out(items->size());
+  std::vector<uint32_t> offsets(size_t{1} << 16);
+  for (unsigned shift = 0; shift < 64; shift += 16) {
+    if (((varying >> shift) & 0xffff) == 0) continue;
+    std::fill(offsets.begin(), offsets.end(), 0);
+    for (const KeyedId& item : *items) ++offsets[(item.key >> shift) & 0xffff];
+    std::exclusive_scan(offsets.begin(), offsets.end(), offsets.begin(),
+                        uint32_t{0});
+    for (const KeyedId& item : *items) {
+      out[offsets[(item.key >> shift) & 0xffff]++] = item;
+    }
+    items->swap(out);
+  }
+}
+
+}  // namespace
 
 const char* IndexEngineName(IndexEngine engine) {
   switch (engine) {
@@ -190,59 +219,40 @@ const char* IndexEngineName(IndexEngine engine) {
 
 // --- construction -----------------------------------------------------------
 
-void LocalIndex::Bitmap::Append(uint32_t id) {
-  const uint32_t block = id >> kBlockShift;
-  if (blocks.size() <= block) blocks.resize(block + 1);
-  Container& c = blocks[block];
-  const uint16_t low = static_cast<uint16_t>(id & (kBlockSize - 1));
-  switch (c.kind) {
-    case Container::Kind::kEmpty:
-      c.kind = Container::Kind::kArray;
-      c.build_array.push_back(low);
-      break;
-    case Container::Kind::kArray:
-      c.build_array.push_back(low);
-      if (c.build_array.size() >= kArrayCutover) {
-        // Dense enough that a bitset is both smaller and faster: flip.
-        c.build_words.assign(kWordsPerBlock, 0);
-        for (uint16_t v : c.build_array) {
-          c.build_words[v >> 6] |= uint64_t{1} << (v & 63);
-        }
-        c.build_array.clear();
-        c.build_array.shrink_to_fit();
-        c.kind = Container::Kind::kBitset;
-      }
-      break;
-    case Container::Kind::kBitset:
-      c.build_words[low >> 6] |= uint64_t{1} << (low & 63);
-      break;
+void LocalIndex::Bitmap::Build(const uint32_t* ids, size_t count) {
+  cardinality = count;
+  if (count == 0) return;
+  blocks.resize((ids[count - 1] >> kBlockShift) + 1);
+  for (size_t i = 0; i < count; ++i) {
+    ++blocks[ids[i] >> kBlockShift].cardinality;
   }
-  ++c.cardinality;
-  ++cardinality;
-}
-
-void LocalIndex::Bitmap::Finalize() {
+  // Dense blocks flip to a bitset at the cutover, where it becomes both
+  // smaller and faster than the sorted array.
   size_t array_total = 0;
   size_t word_total = 0;
-  for (const Container& c : blocks) {
-    if (c.kind == Container::Kind::kArray) {
-      array_total += c.build_array.size();
-    } else if (c.kind == Container::Kind::kBitset) {
+  for (Container& c : blocks) {
+    if (c.cardinality >= kArrayCutover) {
+      c.kind = Container::Kind::kBitset;
+      c.offset = static_cast<uint32_t>(word_total);
       word_total += kWordsPerBlock;
+    } else if (c.cardinality > 0) {
+      c.kind = Container::Kind::kArray;
+      c.offset = static_cast<uint32_t>(array_total);
+      array_total += c.cardinality;
     }
   }
-  arena.reserve(array_total);
-  words.reserve(word_total);
-  for (Container& c : blocks) {
+  arena.resize(array_total);
+  words.assign(word_total, 0);
+  // Ids ascend, so array payloads fill the arena front to back.
+  uint16_t* next = arena.data();
+  for (size_t i = 0; i < count; ++i) {
+    const Container& c = blocks[ids[i] >> kBlockShift];
+    const uint16_t low = static_cast<uint16_t>(ids[i] & (kBlockSize - 1));
     if (c.kind == Container::Kind::kArray) {
-      c.offset = static_cast<uint32_t>(arena.size());
-      arena.insert(arena.end(), c.build_array.begin(), c.build_array.end());
-    } else if (c.kind == Container::Kind::kBitset) {
-      c.offset = static_cast<uint32_t>(words.size());
-      words.insert(words.end(), c.build_words.begin(), c.build_words.end());
+      *next++ = low;
+    } else {
+      words[c.offset + (low >> 6)] |= uint64_t{1} << (low & 63);
     }
-    c.build_array = {};
-    c.build_words = {};
   }
 }
 
@@ -252,47 +262,67 @@ LocalIndex::LocalIndex(std::shared_ptr<const Dataset> dataset, uint64_t k,
     : dataset_(std::move(dataset)), k_(k), engine_(engine) {
   HDC_CHECK(dataset_ != nullptr);
   HDC_CHECK_MSG(k_ >= 1, "the result limit k must be positive");
+  HDC_CHECK_MSG(dataset_->size() <= UINT32_MAX, "row ids are 32-bit");
 
   if (policy == nullptr) policy = MakeRandomPriorityPolicy(0x5eedULL);
-  priorities_ = policy->AssignPriorities(*dataset_);
-  HDC_CHECK(priorities_.size() == dataset_->size());
+  std::vector<uint64_t> priorities = policy->AssignPriorities(*dataset_);
+  HDC_CHECK(priorities.size() == dataset_->size());
 
-  const Schema& schema = *dataset_->schema();
-  const size_t d = schema.num_attributes();
-  const size_t n = dataset_->size();
-  HDC_CHECK_MSG(n <= UINT32_MAX, "row ids are 32-bit");
-
-  columns_.assign(d, {});
-  for (size_t a = 0; a < d; ++a) {
-    columns_[a].resize(n);
-    for (size_t i = 0; i < n; ++i) columns_[a][i] = dataset_->tuple(i)[a];
+  // kScan builds no structures: every query walks the tuples and compares
+  // priorities.
+  if (engine_ == IndexEngine::kScan) {
+    priorities_ = std::move(priorities);
+  } else {
+    BuildBitmapStructures(priorities);
   }
-
-  // kScan builds no structures: every query walks the tuples.
-  if (engine_ == IndexEngine::kBitmap) BuildBitmapStructures();
 }
 
-void LocalIndex::BuildBitmapStructures() {
+void LocalIndex::BuildBitmapStructures(
+    const std::vector<uint64_t>& priorities) {
   const Schema& schema = *dataset_->schema();
   const size_t d = schema.num_attributes();
   const size_t n = dataset_->size();
   const uint32_t blocks = num_blocks();
 
+  // Rank order: priority descending, then (the sort being stable over an
+  // id-ordered input) dataset id ascending.
+  std::vector<KeyedId> keyed(n);
+  for (size_t i = 0; i < n; ++i) {
+    keyed[i] = {~priorities[i], static_cast<uint32_t>(i)};
+  }
+  RadixSortByKey(&keyed);
+  original_ids_.resize(n);
+  for (size_t r = 0; r < n; ++r) original_ids_[r] = keyed[r].id;
+
+  columns_.assign(d, std::vector<Value>(n));
+  for (size_t r = 0; r < n; ++r) {
+    const Tuple& tuple = dataset_->tuple(original_ids_[r]);
+    for (size_t a = 0; a < d; ++a) columns_[a][r] = tuple[a];
+  }
+
   value_bitmaps_.assign(d, {});
   zone_maps_.assign(d, {});
   sorted_ids_.assign(d, {});
   sorted_values_.assign(d, {});
+  std::vector<uint32_t> bucketed(n);
   for (size_t a = 0; a < d; ++a) {
+    const auto& col = columns_[a];
     if (schema.IsCategorical(a)) {
+      // Counting sort of internal ids by value; each bucket stays
+      // ascending, ready for Bitmap::Build.
       auto& bitmaps = value_bitmaps_[a];
       bitmaps.resize(schema.domain_size(a) + 1);
-      // Ids arrive ascending, so every container's array stays sorted.
-      for (size_t i = 0; i < n; ++i) {
-        bitmaps[static_cast<size_t>(columns_[a][i])].Append(
-            static_cast<uint32_t>(i));
+      std::vector<size_t> starts(bitmaps.size() + 1, 0);
+      for (Value v : col) ++starts[static_cast<size_t>(v) + 1];
+      for (size_t v = 1; v < starts.size(); ++v) starts[v] += starts[v - 1];
+      std::vector<size_t> cursor(starts.begin(), starts.end() - 1);
+      for (size_t r = 0; r < n; ++r) {
+        bucketed[cursor[static_cast<size_t>(col[r])]++] =
+            static_cast<uint32_t>(r);
       }
-      for (Bitmap& bm : bitmaps) {
-        bm.Finalize();
+      for (size_t v = 0; v < bitmaps.size(); ++v) {
+        Bitmap& bm = bitmaps[v];
+        bm.Build(bucketed.data() + starts[v], starts[v + 1] - starts[v]);
         for (const Container& c : bm.blocks) {
           if (c.kind == Container::Kind::kArray) {
             ++build_stats_.array_containers;
@@ -303,17 +333,21 @@ void LocalIndex::BuildBitmapStructures() {
       }
     } else {
       // The value-sorted view doubles as exact range selectivity and as
-      // the source for materializing selective range drivers.
+      // the source for materializing selective range drivers. Flipping
+      // the sign bit orders signed values as unsigned keys.
+      for (size_t r = 0; r < n; ++r) {
+        keyed[r] = {static_cast<uint64_t>(col[r]) ^ (uint64_t{1} << 63),
+                    static_cast<uint32_t>(r)};
+      }
+      RadixSortByKey(&keyed);
       auto& ids = sorted_ids_[a];
-      ids.resize(n);
-      for (size_t i = 0; i < n; ++i) ids[i] = static_cast<uint32_t>(i);
-      const auto& col = columns_[a];
-      std::sort(ids.begin(), ids.end(), [&col](uint32_t x, uint32_t y) {
-        return col[x] != col[y] ? col[x] < col[y] : x < y;
-      });
       auto& vals = sorted_values_[a];
+      ids.resize(n);
       vals.resize(n);
-      for (size_t i = 0; i < n; ++i) vals[i] = col[ids[i]];
+      for (size_t i = 0; i < n; ++i) {
+        ids[i] = keyed[i].id;
+        vals[i] = col[keyed[i].id];
+      }
 
       ZoneMap& zone = zone_maps_[a];
       zone.min.resize(blocks);
@@ -447,7 +481,7 @@ LocalIndex::ZoneFit LocalIndex::ClassifyZone(const PlannedPredicate& range,
   return ZoneFit::kPartial;
 }
 
-template <bool kPrefetchRank, typename Visitor>
+template <typename Visitor>
 void LocalIndex::ForEachMatchBitmap(const std::vector<PlannedPredicate>& plan,
                                     const uint64_t* driver_words,
                                     const uint32_t* driver_epochs,
@@ -538,57 +572,49 @@ void LocalIndex::ForEachMatchBitmap(const std::vector<PlannedPredicate>& plan,
                                 next);
         cur = next;
       }
-      constexpr size_t kRankLookahead = 16;
       for (size_t s = 0; s < cur_n; ++s) {
-        if (kPrefetchRank && s + kRankLookahead < cur_n) {
-          __builtin_prefetch(&priorities_[base + cur[s + kRankLookahead]]);
-        }
         const uint16_t low = cur[s];
         bool pass = true;
         for (size_t i = 0; pass && i < bitsets.size(); ++i) {
           pass = (bitsets[i][low >> 6] >> (low & 63)) & 1;
         }
         const uint32_t id = base + low;
-        if (pass && passes_partials(id)) visit(id);
+        if (pass && passes_partials(id) && !visit(id)) return;
       }
       continue;
     }
 
     if (!bitsets.empty()) {
       // Dense path: word-at-a-time AND across every bitset, then ANDNOT
-      // away the candidates the boundary-range tests reject.
-      uint64_t words[kWordsPerBlock];
-      std::memcpy(words, bitsets[0], sizeof(words));
-      for (size_t i = 1; i < bitsets.size(); ++i) {
-        for (uint32_t w = 0; w < kWordsPerBlock; ++w) {
-          words[w] &= bitsets[i][w];
-        }
-      }
-      constexpr uint32_t kWordLookahead = 8;
-      for (uint32_t w = 0; w < kWordsPerBlock; ++w) {
-        if constexpr (kPrefetchRank) {
-          if (w + kWordLookahead < kWordsPerBlock) {
-            for (uint64_t pf = words[w + kWordLookahead]; pf != 0;
-                 pf &= pf - 1) {
-              __builtin_prefetch(&priorities_[base + (w + kWordLookahead) * 64 +
-                                              CountTrailingZeros(pf)]);
-            }
+      // away the candidates the boundary-range tests reject. Chunks of
+      // words keep the AND vectorized yet let an early stop skip the rest
+      // of the block.
+      constexpr uint32_t kChunkWords = 64;
+      for (uint32_t chunk = 0; chunk < kWordsPerBlock; chunk += kChunkWords) {
+        uint64_t words[kChunkWords];
+        std::memcpy(words, bitsets[0] + chunk, sizeof(words));
+        for (size_t i = 1; i < bitsets.size(); ++i) {
+          for (uint32_t w = 0; w < kChunkWords; ++w) {
+            words[w] &= bitsets[i][chunk + w];
           }
         }
-        uint64_t m = words[w];
-        if (m == 0) continue;
-        if (!partials.empty()) {
-          uint64_t reject = 0;
-          for (uint64_t rest = m; rest != 0; rest &= rest - 1) {
-            const int bit = CountTrailingZeros(rest);
-            if (!passes_partials(base + w * 64 + bit)) {
-              reject |= uint64_t{1} << bit;
+        for (uint32_t w = 0; w < kChunkWords; ++w) {
+          uint64_t m = words[w];
+          if (m == 0) continue;
+          const uint32_t word_base = base + (chunk + w) * 64;
+          if (!partials.empty()) {
+            uint64_t reject = 0;
+            for (uint64_t rest = m; rest != 0; rest &= rest - 1) {
+              const int bit = CountTrailingZeros(rest);
+              if (!passes_partials(word_base + bit)) {
+                reject |= uint64_t{1} << bit;
+              }
             }
+            m &= ~reject;
           }
-          m &= ~reject;
-        }
-        for (; m != 0; m &= m - 1) {
-          visit(base + w * 64 + CountTrailingZeros(m));
+          for (; m != 0; m &= m - 1) {
+            if (!visit(word_base + CountTrailingZeros(m))) return;
+          }
         }
       }
       continue;
@@ -598,13 +624,15 @@ void LocalIndex::ForEachMatchBitmap(const std::vector<PlannedPredicate>& plan,
       // Boundary blocks of a range-only query: scan the block's rows.
       for (uint32_t r = 0; r < rows; ++r) {
         const uint32_t id = base + r;
-        if (passes_partials(id)) visit(id);
+        if (passes_partials(id) && !visit(id)) return;
       }
       continue;
     }
 
     // Every predicate covers this whole block: all its rows match.
-    for (uint32_t r = 0; r < rows; ++r) visit(base + r);
+    for (uint32_t r = 0; r < rows; ++r) {
+      if (!visit(base + r)) return;
+    }
   }
 }
 
@@ -615,7 +643,6 @@ void LocalIndex::AnswerQueryBitmap(const Query& query, Response* response,
   std::vector<PlannedPredicate> plan;
   std::vector<uint32_t>& kept = scratch->ids;
   kept.clear();
-  uint64_t count = 0;
 
   const uint64_t* driver_words = nullptr;
   const uint32_t* driver_epochs = nullptr;
@@ -674,43 +701,23 @@ void LocalIndex::AnswerQueryBitmap(const Query& query, Response* response,
       }
     }
 
-    // Streaming bounded top-k: `kept` is a heap whose root is the worst of
-    // the k best seen so far (Outranks as the heap's "less-than" makes the
-    // std max-heap surface the lowest-ranked candidate). The intersection
-    // arrives in ascending id order, overflow is known the moment
-    // candidate k+1 shows up, and nothing beyond k ids is ever stored.
+    // Internal ids ascend in server order: the first k survivors are the
+    // answer, and survivor k+1 proves overflow and ends the walk.
     const uint64_t k = k_;
-    auto worst_first = [this](uint32_t x, uint32_t y) {
-      return Outranks(x, y);
-    };
-    ForEachMatchBitmap<true>(plan, driver_words, driver_epochs,
-                             scratch->epoch, [&](uint32_t id) {
-                         ++count;
-                         if (kept.size() < k) {
-                           kept.push_back(id);
-                           std::push_heap(kept.begin(), kept.end(),
-                                          worst_first);
-                         } else if (Outranks(id, kept.front())) {
-                           std::pop_heap(kept.begin(), kept.end(),
-                                         worst_first);
-                           kept.back() = id;
-                           std::push_heap(kept.begin(), kept.end(),
-                                          worst_first);
-                         }
+    ForEachMatchBitmap(plan, driver_words, driver_epochs, scratch->epoch,
+                       [&kept, k](uint32_t id) {
+                         kept.push_back(id);
+                         return kept.size() <= k;
                        });
   }
 
   response->tuples.clear();
-  response->overflow = count > k_;
-  if (response->overflow) {
-    // Server order: the fixed ranking, best first.
-    std::sort(kept.begin(), kept.end(),
-              [this](uint32_t x, uint32_t y) { return Outranks(x, y); });
-  } else {
-    // Resolved: the whole bag, in id order (`kept` holds every match but
-    // in heap order).
-    std::sort(kept.begin(), kept.end());
-  }
+  response->overflow = kept.size() > k_;
+  if (response->overflow) kept.pop_back();  // survivor k+1
+  for (uint32_t& id : kept) id = original_ids_[id];
+  // An overflowing answer is already in server order; a resolved bag is
+  // returned in dataset-id order.
+  if (!response->overflow) std::sort(kept.begin(), kept.end());
   response->tuples.reserve(kept.size());
   for (uint32_t id : kept) {
     response->tuples.push_back(ReturnedTuple{dataset_->tuple(id), id});
@@ -749,8 +756,10 @@ uint64_t LocalIndex::CountMatchesBitmap(const Query& query) const {
   }
 
   uint64_t count = 0;
-  ForEachMatchBitmap<false>(plan, nullptr, nullptr, 0,
-                            [&count](uint32_t) { ++count; });
+  ForEachMatchBitmap(plan, nullptr, nullptr, 0, [&count](uint32_t) {
+    ++count;
+    return true;
+  });
   return count;
 }
 

@@ -22,10 +22,12 @@
 //              of the column per id block) so a range skips blocks that
 //              cannot intersect it and accepts blocks it fully covers
 //              without looking at a single row; only boundary blocks are
-//              scanned. Top-k answers are selected streaming: a bounded
-//              size-k heap consumes the intersection in ascending-id order,
-//              flags overflow the moment candidate k+1 appears, and never
-//              materializes the full match set.
+//              scanned. Internal row ids are numbered by server rank
+//              (priority descending, dataset id ascending), so the
+//              block-ordered intersection emits matches best first: the
+//              first k survivors are the top-k answer, survivor k+1 proves
+//              overflow, and evaluation stops there. Responses map internal
+//              ids back to dataset ids through one permutation array.
 //
 // Both engines return bit-identical responses; the conformance suite and
 // tests/index_engine_test.cc enforce it.
@@ -55,7 +57,7 @@ class WorkerPool;
 /// construction.
 enum class IndexEngine {
   kScan,    ///< full scan; the differential-test oracle
-  kBitmap,  ///< block-compressed bitmaps + zone maps + streaming top-k
+  kBitmap,  ///< rank-ordered block bitmaps + zone maps; stops at match k+1
 };
 
 /// "scan" / "bitmap".
@@ -91,8 +93,8 @@ struct QueryStats {
 /// TrimAfterBatch drops oversized retention so one huge query cannot pin
 /// peak-size buffers for the lifetime of a pool thread.
 struct EvalScratch {
-  /// Match collection (kScan) and the bounded top-k selection heap
-  /// (kBitmap, never more than k entries).
+  /// Match collection (kScan) and the first survivors in rank order
+  /// (kBitmap, never more than k + 1 ids).
   std::vector<uint32_t> ids;
 
   /// kBitmap range-driver bitmap: one bit per row, valid only for blocks
@@ -167,10 +169,8 @@ class LocalIndex {
     uint32_t cardinality = 0;
     /// Start of this container's payload in the owning Bitmap's arena
     /// (element offset into `arena` for kArray, word offset into `words`
-    /// for kBitset); assigned by Finalize.
+    /// for kBitset).
     uint32_t offset = 0;
-    std::vector<uint16_t> build_array;  ///< build-time only, freed on Finalize
-    std::vector<uint64_t> build_words;  ///< build-time only, freed on Finalize
   };
 
   struct Bitmap {
@@ -183,8 +183,9 @@ class LocalIndex {
     std::vector<uint16_t> arena;  ///< kArray payloads: sorted low-16 id bits
     std::vector<uint64_t> words;  ///< kBitset payloads: kWordsPerBlock each
 
-    void Append(uint32_t id);  ///< ids must arrive in ascending order
-    void Finalize();           ///< packs payloads; no Append afterwards
+    /// Builds the bitmap of `count` ascending ids in two passes: count
+    /// each block's members, then pack every payload at its final offset.
+    void Build(const uint32_t* ids, size_t count);
 
     const uint16_t* ArrayAt(const Container& c) const {
       return arena.data() + c.offset;
@@ -215,7 +216,9 @@ class LocalIndex {
     kPartial,  ///< boundary block: rows must be tested
   };
 
-  void BuildBitmapStructures();
+  /// Numbers rows by rank, then builds columns, value bitmaps, sorted
+  /// range views and zone maps over the internal ids.
+  void BuildBitmapStructures(const std::vector<uint64_t>& priorities);
 
   /// Resolves `query`'s constraining predicates (domain-covering ones are
   /// dropped), cheapest bitmaps first, ranges last. Returns false when some
@@ -225,13 +228,11 @@ class LocalIndex {
 
   ZoneFit ClassifyZone(const PlannedPredicate& range, uint32_t block) const;
 
-  /// Streams the ids matching `query` under the bitmap engine, ascending,
-  /// into `visit(uint32_t id)`. `driver_words`/`driver_epochs` carry a
-  /// materialized range-driver bitmap, or null for none. kPrefetchRank
-  /// pre-touches priorities_[id] a little ahead of emission — the top-k
-  /// visitor reads it per candidate and would otherwise stall on it; the
-  /// counting visitor never does, so it skips the prefetches.
-  template <bool kPrefetchRank, typename Visitor>
+  /// Streams the internal ids matching `query` under the bitmap engine,
+  /// ascending (so best ranked first), into `visit(uint32_t id)`, which
+  /// returns false to stop the walk. `driver_words`/`driver_epochs` carry
+  /// a materialized range-driver bitmap, or null for none.
+  template <typename Visitor>
   void ForEachMatchBitmap(const std::vector<PlannedPredicate>& plan,
                           const uint64_t* driver_words,
                           const uint32_t* driver_epochs, uint32_t epoch,
@@ -247,8 +248,9 @@ class LocalIndex {
   void AnswerQueryBitmap(const Query& query, Response* response,
                          EvalScratch* scratch) const;
 
-  /// Returns true if row `id` satisfies every predicate except (optionally)
-  /// the one on `skip_attr` (pass num_attributes() to skip none).
+  /// Returns true if internal row `id` satisfies every predicate except
+  /// (optionally) the one on `skip_attr` (pass num_attributes() to skip
+  /// none).
   bool VerifyRow(const Query& query, uint32_t id, size_t skip_attr) const;
 
   /// True when the predicate on `a` cannot exclude any row: its extent
@@ -256,7 +258,9 @@ class LocalIndex {
   /// schema's, which a session schema override may have narrowed).
   bool CoversDomain(const Query& query, size_t a) const;
 
-  /// Ordering of the fixed ranking: true when x outranks y.
+  /// kScan ordering of the fixed ranking over dataset ids: true when x
+  /// outranks y. kBitmap needs no comparison: its internal id order is the
+  /// ranking.
   bool Outranks(uint32_t x, uint32_t y) const {
     return priorities_[x] != priorities_[y] ? priorities_[x] > priorities_[y]
                                             : x < y;
@@ -280,13 +284,21 @@ class LocalIndex {
   IndexEngine engine_;
   IndexBuildStats build_stats_;
 
-  /// priorities_[id]: higher is returned first; ties by id ascending.
+  /// kScan: priorities_[dataset id]; higher is returned first, ties by
+  /// id ascending. Empty under kBitmap, which folds the ranking into its
+  /// row numbering at build time.
   std::vector<uint64_t> priorities_;
 
-  /// Column-major copy of the data: columns_[attr][id].
+  /// kBitmap: internal id -> dataset id. Internal ids number the rows by
+  /// (priority descending, dataset id ascending), so ascending internal id
+  /// is server order; every structure below is indexed by internal id, and
+  /// responses map back through this array.
+  std::vector<uint32_t> original_ids_;
+
+  /// kBitmap: column-major copy of the data: columns_[attr][internal id].
   std::vector<std::vector<Value>> columns_;
 
-  /// kBitmap: numeric attr -> row ids sorted by value, plus the aligned
+  /// kBitmap: numeric attr -> internal ids sorted by value, plus the aligned
   /// sorted values for binary search (exact range selectivity, selective
   /// range drivers, and range-driven counting).
   std::vector<std::vector<uint32_t>> sorted_ids_;

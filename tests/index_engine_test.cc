@@ -5,9 +5,11 @@
 // bit-identical responses and counts on every query.
 // The randomized battery sweeps schema shapes, dataset sizes straddling
 // the bitmap block and array/bitset cutover boundaries, k in {1, 2, n},
-// narrowed session schema views, and degenerate extents.
+// tie-heavy rankings, narrowed session schema views, and degenerate
+// extents; a 3-block dataset pins where the rank-ordered walk stops.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -31,17 +33,39 @@ std::string Digest(const Response& r) {
   return out.str();
 }
 
-/// One server per engine over the same dataset, k and ranking seed.
+bool SameResponse(const Response& a, const Response& b) {
+  if (a.overflow != b.overflow || a.tuples.size() != b.tuples.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.tuples.size(); ++i) {
+    if (a.tuples[i].hidden_id != b.tuples[i].hidden_id ||
+        a.tuples[i].tuple != b.tuples[i].tuple) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Makes the ranking for one server of an EnginePair; called once per
+/// engine, so every engine ranks the dataset identically.
+using PolicyFactory =
+    std::function<std::unique_ptr<RankingPolicy>(const Dataset&)>;
+
+PolicyFactory RandomPolicy(uint64_t seed) {
+  return [seed](const Dataset&) { return MakeRandomPriorityPolicy(seed); };
+}
+
+/// One server per engine over the same dataset, k and ranking.
 struct EnginePair {
   std::vector<std::unique_ptr<LocalServer>> servers;
 
   EnginePair(std::shared_ptr<const Dataset> dataset, uint64_t k,
-             uint64_t policy_seed = 11) {
+             const PolicyFactory& make_policy = RandomPolicy(11)) {
     for (IndexEngine engine : kEngines) {
       LocalServerOptions options;
       options.engine = engine;
       servers.push_back(std::make_unique<LocalServer>(
-          dataset, k, MakeRandomPriorityPolicy(policy_seed), options));
+          dataset, k, make_policy(*dataset), options));
     }
   }
 
@@ -51,14 +75,16 @@ struct EnginePair {
   void ExpectAgreement(const Query& query) {
     Response want;
     ASSERT_TRUE(servers[0]->Issue(query, &want).ok());
-    const std::string want_digest = Digest(want);
     const uint64_t want_count = servers[0]->CountMatches(query);
     for (size_t e = 1; e < servers.size(); ++e) {
       Response got;
       ASSERT_TRUE(servers[e]->Issue(query, &got).ok());
-      EXPECT_EQ(Digest(got), want_digest)
-          << IndexEngineName(kEngines[e]) << " diverged on "
-          << query.ToString();
+      // Digests only on a mismatch: answers run to ~10^5 tuples here.
+      if (!SameResponse(got, want)) {
+        EXPECT_EQ(Digest(got), Digest(want))
+            << IndexEngineName(kEngines[e]) << " diverged on "
+            << query.ToString();
+      }
       EXPECT_EQ(servers[e]->CountMatches(query), want_count)
           << IndexEngineName(kEngines[e]) << " CountMatches diverged on "
           << query.ToString();
@@ -99,11 +125,13 @@ TEST(IndexEngineTest, RandomizedDifferentialAcrossSchemas) {
     double zipf;
     uint64_t k;
   };
+  // Attribute 0 is a 3-value categorical wherever the shape has
+  // categoricals: the by-attribute ranking below ties it massively.
   const Config configs[] = {
-      {{5, 9}, 2, 3000, 50, 0.7, 16},   // the classic mixed shape
-      {{3}, 0, 800, 0, 1.2, 1},         // categorical-only, k = 1
-      {{}, 3, 1200, 40, 0.0, 2},        // numeric-only, k = 2, heavy ties
-      {{7, 2, 4}, 1, 2500, 30, 0.9, 2500},  // k = n: nothing overflows
+      {{3, 5, 9}, 2, 3000, 50, 0.7, 16},   // the classic mixed shape
+      {{3}, 0, 800, 0, 1.2, 1},            // categorical-only, k = 1
+      {{}, 3, 1200, 40, 0.0, 2},           // numeric-only, k = 2, heavy ties
+      {{3, 7, 2, 4}, 1, 2500, 30, 0.9, 2500},  // k = n: nothing overflows
   };
 
   uint64_t seed = 1000;
@@ -117,11 +145,93 @@ TEST(IndexEngineTest, RandomizedDifferentialAcrossSchemas) {
     gen.seed = ++seed;
     auto data = std::make_shared<const Dataset>(GenerateSyntheticMixed(gen));
 
-    EnginePair pair(data, config.k, /*policy_seed=*/seed);
-    Rng rng(seed * 7);
-    for (int trial = 0; trial < 200; ++trial) {
-      pair.ExpectAgreement(
-          RandomQuery(data->schema(), config.value_range, &rng));
+    // Random priorities never tie and the id-order rankings follow
+    // dataset id; by-attribute-0 and all-equal tie on nearly every row,
+    // so only the dataset-id tie break orders them.
+    const std::pair<const char*, PolicyFactory> policies[] = {
+        {"random", RandomPolicy(seed)},
+        {"oldest-first",
+         [](const Dataset&) { return MakeIdOrderPolicy(true); }},
+        {"newest-first",
+         [](const Dataset&) { return MakeIdOrderPolicy(false); }},
+        {"by-attribute-0",
+         [](const Dataset&) { return MakeByAttributePolicy(0, true); }},
+        {"all-equal",
+         [](const Dataset& d) {
+           return MakeFixedPriorityPolicy(std::vector<uint64_t>(d.size(), 7));
+         }},
+    };
+    for (const auto& [name, make_policy] : policies) {
+      SCOPED_TRACE(name);
+      EnginePair pair(data, config.k, make_policy);
+      Rng rng(seed * 7);
+      for (int trial = 0; trial < 200; ++trial) {
+        pair.ExpectAgreement(
+            RandomQuery(data->schema(), config.value_range, &rng));
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(IndexEngineTest, EarlyStopAcrossIdBlocks) {
+  // 140,000 rows fill three 65536-id blocks, so the rank-ordered walk must
+  // stop in blocks after the first, on every path: fully covered blocks,
+  // range-only partial blocks, bitset AND and array fold. Under the
+  // oldest-first ranking internal ids equal dataset ids, so the per-query
+  // k values below put match k+1 exactly on a block's last match or the
+  // next block's first.
+  SchemaPtr schema = Schema::Make(
+      {AttributeSpec::Categorical("Dense", 2),
+       AttributeSpec::Categorical("Mid", 8),
+       AttributeSpec::Categorical("Sparse", 64),
+       AttributeSpec::Categorical("Sparser", 32),
+       AttributeSpec::NumericBounded("X", 0, 2000)});
+  auto data = std::make_shared<Dataset>(schema);
+  Rng rng(140);
+  const size_t n = 140000;
+  for (size_t i = 0; i < n; ++i) {
+    data->AddUnchecked(Tuple{rng.UniformInt(1, 2), rng.UniformInt(1, 8),
+                             rng.UniformInt(1, 64), rng.UniformInt(1, 32),
+                             rng.UniformInt(0, 999)});
+  }
+  auto shared = std::shared_ptr<const Dataset>(std::move(data));
+
+  const Query full = Query::FullSpace(schema);
+  const Query queries[] = {
+      full,                                  // fully covered blocks
+      full.WithNumericRange(4, 0, 1500),     // zone covers every block
+      full.WithNumericRange(4, 100, 899),    // range-only partial blocks
+      full.WithCategoricalEquals(0, 1),      // one bitset
+      full.WithCategoricalEquals(0, 1).WithCategoricalEquals(1, 3),  // AND
+      full.WithCategoricalEquals(0, 2).WithNumericRange(4, 0, 499),
+      full.WithCategoricalEquals(2, 5),      // one array
+      full.WithCategoricalEquals(2, 5).WithCategoricalEquals(3, 9),  // fold
+      full.WithCategoricalEquals(2, 7).WithCategoricalEquals(1, 2),
+  };
+  const PolicyFactory oldest_first = [](const Dataset&) {
+    return MakeIdOrderPolicy(true);
+  };
+  // The full-space query overflows on the last row of block 0 and on the
+  // first row of block 1; every other query stops mid-block.
+  for (const PolicyFactory& make_policy : {oldest_first, RandomPolicy(11)}) {
+    for (uint64_t k : {uint64_t{65535}, uint64_t{65536}}) {
+      EnginePair pair(shared, k, make_policy);
+      for (const Query& q : queries) pair.ExpectAgreement(q);
+      if (HasFatalFailure()) return;
+    }
+  }
+  // Per query, match k+1 on the last match of block 0 or 1, or on the
+  // first match of block 1 or 2.
+  for (const Query& q : queries) {
+    uint64_t before[2] = {0, 0};  // matches in blocks 0 and 0-1
+    for (size_t i = 0; i < size_t{2} << 16; ++i) {
+      if (q.Matches(shared->tuple(i))) ++before[i >> 16];
+    }
+    before[1] += before[0];
+    for (uint64_t k : {before[0] - 1, before[0], before[1] - 1, before[1]}) {
+      EnginePair pair(shared, k, oldest_first);
+      pair.ExpectAgreement(q);
       if (HasFatalFailure()) return;
     }
   }
@@ -271,10 +381,10 @@ TEST(IndexEngineTest, BlockLocalIdZeroSurvivesArrayIntersection) {
   resolved.ExpectAgreement(conj);
   resolved.ExpectAgreement(full.WithCategoricalEquals(0, 1));
 
-  // Small k exercises the overflowing heap path over the same arrays.
-  EnginePair heap(shared, /*k=*/8);
-  heap.ExpectAgreement(conj);
-  heap.ExpectAgreement(full.WithCategoricalEquals(1, 1));
+  // Small k exercises the overflowing top-k path over the same arrays.
+  EnginePair topk(shared, /*k=*/8);
+  topk.ExpectAgreement(conj);
+  topk.ExpectAgreement(full.WithCategoricalEquals(1, 1));
 }
 
 TEST(IndexEngineTest, EmptyDataset) {

@@ -20,12 +20,14 @@ against an in-process baseline (or vice versa). A group present in the
 baseline but absent from the current run is a hard failure; a new group in
 the current run is a warning until its rows are committed to the baseline.
 
-bench_index.csv additionally carries a speedup gate: on the headline
-"conjunction-selective" shape the bitmap engine must beat the scan oracle
-by at least 16x wall time. Falling under the floor is a hard failure even
-though the cells are wall times — the ratio is between two engines measured
-back-to-back on the same machine, so machine speed cancels out. A run whose
-bitmap wall is zero (or missing) cannot evaluate the ratio and hard-fails.
+bench_index.csv additionally carries per-shape speedup gates: the bitmap
+engine must beat the scan oracle by at least 16x wall time on the headline
+"conjunction-selective" shape, and on the top-k shapes by 143x
+("all-wildcard"), 46x ("range-wide-random") and 29x ("topk-overflow-heavy").
+Falling under a floor is a hard failure even though the cells are wall
+times — each ratio is between two engines measured back-to-back on the same
+machine, so machine speed cancels out. A run whose bitmap wall is zero (or
+missing) for a gated shape cannot evaluate the ratio and hard-fails.
 bench_cache.csv carries the analogous gate on *billed query counts*: at the
 1% mutation rate the delta re-crawl must bill at least 10x fewer server
 queries than the from-scratch re-crawl. bench_planner.csv carries the
@@ -113,13 +115,20 @@ def compare_rows(name: str, header: list, base_rows: list, cur_rows: list,
 # row against a delta baseline.
 GROUP_COLUMNS = ("transport", "engine", "shards", "cache", "plan")
 
-# bench_index speedup gate: on the headline shape the bitmap engine must
-# beat the scan oracle by this factor. See bench/bench_index.cc. Measured
-# scan/bitmap there is 30-44x; 16x is the former 4x bitmap-vs-legacy floor
-# times the smallest scan/legacy ratio (4.03) the committed CSVs recorded.
+# bench_index speedup gates: per shape, the bitmap engine must beat the scan
+# oracle by this factor within one run. See bench/bench_index.cc.
+#   conjunction-selective: the former 4x bitmap-vs-legacy floor times the
+#     smallest scan/legacy ratio (4.03) the committed CSVs recorded.
+#   The top-k shapes, which the rank-ordered layout stops at match k+1: the
+#     ROADMAP's speedup gate times the scan/bitmap ratio committed before
+#     that layout (20 x 7.16, 20 x 2.27 and 3 x 9.52).
 INDEX_SPEEDUP_FILE = "bench_index.csv"
-INDEX_SPEEDUP_SHAPE = "conjunction-selective"
-INDEX_SPEEDUP_FLOOR = 16.0
+INDEX_SPEEDUP_FLOORS = {
+    "conjunction-selective": 16.0,
+    "all-wildcard": 143.0,
+    "range-wide-random": 46.0,
+    "topk-overflow-heavy": 29.0,
+}
 
 # bench_cache query gate: at the headline mutation rate the delta re-crawl
 # must bill this many times fewer server queries than the from-scratch
@@ -146,10 +155,10 @@ def group_by_column(rows: list, key_idx: int) -> dict:
 
 
 def check_index_speedup(header: list, rows: list, failures: list) -> None:
-    """Hard-fails unless bitmap beats scan by INDEX_SPEEDUP_FLOOR on the
-    headline shape. Operates on the *current* run: the ratio is between two
-    engines measured back-to-back, so machine speed cancels out and the
-    check stays meaningful even though the cells are wall times."""
+    """Hard-fails unless bitmap beats scan by its INDEX_SPEEDUP_FLOORS entry
+    on every gated shape. Operates on the *current* run: each ratio is
+    between two engines measured back-to-back, so machine speed cancels out
+    and the check stays meaningful even though the cells are wall times."""
     try:
         engine_idx = header.index("engine")
         shape_idx = header.index("shape")
@@ -160,25 +169,23 @@ def check_index_speedup(header: list, rows: list, failures: list) -> None:
         return
     walls = {}
     for row in rows:
-        if len(row) > max(engine_idx, shape_idx, wall_idx) and \
-                row[shape_idx] == INDEX_SPEEDUP_SHAPE:
-            walls[row[engine_idx]] = as_float(row[wall_idx])
-    scan, bitmap = walls.get("scan"), walls.get("bitmap")
-    if scan is None or bitmap is None or bitmap <= 0:
-        # A zero bitmap wall is below timer resolution: the ratio is
-        # unbounded, not evidence of a speedup.
-        failures.append(
-            f"{INDEX_SPEEDUP_FILE}: shape '{INDEX_SPEEDUP_SHAPE}' lacks "
-            "positive scan/bitmap wall times — cannot evaluate the speedup "
-            "gate")
-        return
-    ratio = scan / bitmap
-    if ratio < INDEX_SPEEDUP_FLOOR:
-        failures.append(
-            f"{INDEX_SPEEDUP_FILE} [{INDEX_SPEEDUP_SHAPE}]: bitmap is only "
-            f"{ratio:.2f}x faster than scan (floor "
-            f"{INDEX_SPEEDUP_FLOOR:.1f}x; scan {scan:.6f}s, bitmap "
-            f"{bitmap:.6f}s)")
+        if len(row) > max(engine_idx, shape_idx, wall_idx):
+            walls[(row[shape_idx], row[engine_idx])] = as_float(row[wall_idx])
+    for shape, floor in INDEX_SPEEDUP_FLOORS.items():
+        scan, bitmap = walls.get((shape, "scan")), walls.get((shape, "bitmap"))
+        if scan is None or bitmap is None or bitmap <= 0:
+            # A zero bitmap wall is below timer resolution: the ratio is
+            # unbounded, not evidence of a speedup.
+            failures.append(
+                f"{INDEX_SPEEDUP_FILE}: shape '{shape}' lacks positive "
+                "scan/bitmap wall times — cannot evaluate the speedup gate")
+            continue
+        ratio = scan / bitmap
+        if ratio < floor:
+            failures.append(
+                f"{INDEX_SPEEDUP_FILE} [{shape}]: bitmap is only "
+                f"{ratio:.2f}x faster than scan (floor {floor:.1f}x; scan "
+                f"{scan:.6f}s, bitmap {bitmap:.6f}s)")
 
 
 def check_cache_speedup(header: list, rows: list, failures: list) -> None:

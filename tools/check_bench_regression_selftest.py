@@ -29,7 +29,12 @@ baseline/current directories and asserts each guard actually fires:
  11. an index run missing the scan row cannot evaluate the gate and
      hard-fails instead of skipping it;
  12. a zero bitmap wall (below timer resolution) cannot evaluate the
-     ratio and hard-fails instead of passing vacuously.
+     ratio and hard-fails instead of passing vacuously;
+ 13. each top-k shape floor (all-wildcard 143x, range-wide-random 46x,
+     topk-overflow-heavy 29x) passes just above its floor and hard-fails
+     just under it;
+ 14. a zero bitmap wall on a top-k shape (its ~80 us walls sit close to
+     the CSV's microsecond resolution) hard-fails as unevaluable.
 
 Exit status: 0 when every expectation holds, 1 otherwise.
 """
@@ -62,9 +67,34 @@ BASELINE_INDEX_CSV = """\
 engine,shape,rows,queries,k,tuples,overflows,wall_seconds,qps_wall
 scan,cat-1pred,1000000,12,100,1200,12,0.124265,96.6
 scan,conjunction-selective,1000000,12,100,1200,12,0.159643,75.2
+scan,range-wide-random,1000000,12,100,1200,12,0.293713,40.9
+scan,all-wildcard,1000000,12,100,1200,12,0.252579,47.5
+scan,topk-overflow-heavy,1000000,12,100,1200,12,0.169397,70.8
 bitmap,cat-1pred,1000000,12,100,1200,12,0.002008,5974.9
 bitmap,conjunction-selective,1000000,12,100,1200,12,0.004278,2804.9
+bitmap,range-wide-random,1000000,12,100,1200,12,0.000090,133333.3
+bitmap,all-wildcard,1000000,12,100,1200,12,0.000080,150000.0
+bitmap,topk-overflow-heavy,1000000,12,100,1200,12,0.000140,85714.3
 """
+
+# The per-shape floors the gate must enforce on the top-k shapes, and the
+# scan walls BASELINE_INDEX_CSV pairs them with.
+TOPK_FLOORS = {
+    "all-wildcard": (143.0, 0.252579),
+    "range-wide-random": (46.0, 0.293713),
+    "topk-overflow-heavy": (29.0, 0.169397),
+}
+
+
+def with_bitmap_wall(shape: str, wall: float) -> str:
+    """BASELINE_INDEX_CSV with the bitmap wall of `shape` replaced."""
+    lines = []
+    for line in BASELINE_INDEX_CSV.splitlines():
+        cells = line.split(",")
+        if cells[:2] == ["bitmap", shape]:
+            cells[7] = f"{wall:.6f}"
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def run_gate(baseline: Path, current: Path):
@@ -233,6 +263,32 @@ def main() -> int:
         expect("zero bitmap wall hard-fails",
                code == 1 and "cannot evaluate the speedup gate" in out, out,
                problems)
+
+        # 13. Each top-k floor: 1% above it passes, 1% under it fails. At
+        #     these walls the CSV's %.6f rounding moves the ratio by <0.1%.
+        for shape, (floor, scan) in TOPK_FLOORS.items():
+            current = root / f"index_{shape}_above"
+            write(current / "bench_index.csv",
+                  with_bitmap_wall(shape, scan / (floor * 1.01)))
+            code, out = run_gate(index_baseline, current)
+            expect(f"{shape} just above its {floor:.0f}x floor passes",
+                   code == 0, out, problems)
+            current = root / f"index_{shape}_below"
+            write(current / "bench_index.csv",
+                  with_bitmap_wall(shape, scan / (floor * 0.99)))
+            code, out = run_gate(index_baseline, current)
+            expect(f"{shape} just under its {floor:.0f}x floor hard-fails",
+                   code == 1 and f"[{shape}]" in out and
+                   "faster than scan" in out, out, problems)
+
+        # 14. A top-k bitmap wall that rounds to zero is unevaluable.
+        current = root / "index_all_wildcard_zero"
+        write(current / "bench_index.csv",
+              with_bitmap_wall("all-wildcard", 0.0))
+        code, out = run_gate(index_baseline, current)
+        expect("zero all-wildcard bitmap wall hard-fails",
+               code == 1 and "'all-wildcard'" in out and
+               "cannot evaluate the speedup gate" in out, out, problems)
 
     if problems:
         print(f"{len(problems)} selftest expectation(s) failed")
