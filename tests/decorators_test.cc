@@ -7,6 +7,8 @@
 #include <sstream>
 #include <vector>
 
+#include "core/hybrid.h"
+#include "fixed_priority_policy.h"
 #include "server/local_server.h"
 #include "server/politeness.h"
 
@@ -315,6 +317,39 @@ TEST(QueryLogServerTest, BatchMembersAreLoggedInIssueOrder) {
   EXPECT_EQ(batched_log.str(), sequential_log.str())
       << "a batch must leave the same audit trail as the sequential "
       << "conversation";
+}
+
+// Pins the audit-log line format byte for byte on a tiny mixed crawl: an
+// overflowing query, resolved ones, and categorical slots rendered as
+// "C=*" (the hand-issued full-space query) or "C=<value>" (the crawl's).
+TEST(QueryLogServerTest, AuditLinesMatchGoldenTranscript) {
+  SchemaPtr schema = Schema::Make({AttributeSpec::Categorical("C", 2),
+                                   AttributeSpec::NumericBounded("X", 0, 9)});
+  auto data = std::make_shared<Dataset>(schema);
+  for (const Tuple& t : {Tuple({1, 0}), Tuple({1, 3}), Tuple({1, 5}),
+                         Tuple({1, 7}), Tuple({2, 4}), Tuple({2, 8})}) {
+    data->Add(t);
+  }
+  LocalServer base(data, /*k=*/2,
+                   std::make_unique<testing_util::FixedPriorityPolicy>(
+                       std::vector<uint64_t>{6, 5, 4, 3, 2, 1}));
+  std::ostringstream log;
+  QueryLogServer logged(&base, &log);
+  Response r;
+  ASSERT_TRUE(logged.Issue(Query::FullSpace(schema), &r).ok());
+  HybridCrawler crawler;
+  CrawlResult result = crawler.Crawl(&logged);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(log.str(),
+            "1\tOVERFLOW\t2\tC=*, X in [0, 9]\n"
+            "2\tOVERFLOW\t2\tC=1, X in [0, 9]\n"
+            "3\tOVERFLOW\t2\tC=1, X in [0, 9]\n"
+            "4\tresolved\t1\tC=1, X=0\n"
+            "5\tOVERFLOW\t2\tC=1, X in [1, 9]\n"
+            "6\tresolved\t0\tC=1, X in [1, 2]\n"
+            "7\tresolved\t1\tC=1, X=3\n"
+            "8\tresolved\t2\tC=1, X in [4, 9]\n"
+            "9\tresolved\t2\tC=2, X in [0, 9]\n");
 }
 
 TEST(ObservedServerTest, BatchCallbackFiresPerMemberInOrder) {
