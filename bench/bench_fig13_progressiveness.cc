@@ -6,7 +6,10 @@
 //
 // Paper shape to reproduce: both curves hug the diagonal ("linear
 // progressiveness"), so a crawl interrupted after x% of its queries has
-// retrieved roughly x% of the database.
+// retrieved roughly x% of the database. The curve is sampled at the server
+// boundary by a ProgressRecorder (server/decorators.h) on an
+// ObservedServer directly beneath the crawler.
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -23,10 +26,10 @@ namespace {
 std::vector<double> ProgressDeciles(const std::shared_ptr<const Dataset>& data,
                                     uint64_t k) {
   HybridCrawler crawler;
-  std::vector<TraceEntry> trace;
-  RunStats stats =
-      RunCrawl(&crawler, data, k, 0x5eed, /*record_trace=*/true, &trace);
+  ProgressRecorder recorder;
+  RunStats stats = RunCrawl(&crawler, data, k, 0x5eed, std::ref(recorder));
   HDC_CHECK(stats.ok);
+  const std::vector<ProgressSample>& trace = recorder.samples();
   HDC_CHECK(!trace.empty());
 
   std::vector<double> out;

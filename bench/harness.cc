@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
+#include <utility>
 
 #include "server/local_server.h"
 #include "server/ranking.h"
@@ -15,14 +16,13 @@ namespace hdc {
 namespace bench {
 
 RunStats RunCrawl(Crawler* crawler, std::shared_ptr<const Dataset> dataset,
-                  uint64_t k, uint64_t policy_seed, bool record_trace,
-                  std::vector<TraceEntry>* trace_out) {
+                  uint64_t k, uint64_t policy_seed,
+                  ObservedServer::Callback observer) {
   LocalServer server(dataset, k, MakeRandomPriorityPolicy(policy_seed));
-  CrawlOptions options;
-  options.record_trace = record_trace;
+  ObservedServer observed(&server, std::move(observer));
 
   auto start = std::chrono::steady_clock::now();
-  CrawlResult result = crawler->Crawl(&server, options);
+  CrawlResult result = crawler->Crawl(&observed);
   auto end = std::chrono::steady_clock::now();
 
   RunStats stats;
@@ -36,7 +36,6 @@ RunStats RunCrawl(Crawler* crawler, std::shared_ptr<const Dataset> dataset,
     HDC_CHECK_MSG(Dataset::MultisetEquals(result.extracted, *dataset),
                   "bench crawl did not extract the exact multiset");
   }
-  if (trace_out != nullptr) *trace_out = std::move(result.trace);
   return stats;
 }
 

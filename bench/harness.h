@@ -13,6 +13,7 @@
 
 #include "core/crawler.h"
 #include "data/dataset.h"
+#include "server/decorators.h"
 #include "util/table_printer.h"
 
 namespace hdc {
@@ -31,11 +32,12 @@ struct RunStats {
 /// `k` and the paper's random-priority ranking (fixed seed for
 /// reproducibility). Verifies the extraction is the exact multiset when the
 /// crawl completes; aborts the bench on a mismatch — a wrong reproduction
-/// must not print plausible numbers.
+/// must not print plausible numbers. When `observer` is set, the crawl runs
+/// through an ObservedServer calling it per answered query (e.g. a
+/// ProgressRecorder for Figure 13).
 RunStats RunCrawl(Crawler* crawler, std::shared_ptr<const Dataset> dataset,
                   uint64_t k, uint64_t policy_seed = 0x5eed,
-                  bool record_trace = false,
-                  std::vector<TraceEntry>* trace_out = nullptr);
+                  ObservedServer::Callback observer = nullptr);
 
 /// Writes `table` to stdout and mirrors it to bench_results/<stem>.csv.
 void EmitTable(const TablePrinter& table, const std::string& stem,

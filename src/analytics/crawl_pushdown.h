@@ -35,7 +35,7 @@ struct PushdownStats {
 /// Evaluates `spec` over the hidden database tuples matching `filter`, by
 /// crawling the filter's subspace with `crawler`. Produces exactly
 /// Aggregate(D, filter, spec) — the pushdown changes cost, never the
-/// answer. `base` seeds the crawl options (budget, batch size, trace);
+/// answer. `base` seeds the crawl options (budget, batch size, oracle);
 /// its plan/sink/materialize fields are overridden by the pushdown.
 /// ResourceExhausted (budget ran out mid-crawl) and Unsolvable pass
 /// through from the crawl.

@@ -47,9 +47,6 @@
 // assigned on failure, so a truncated file can not produce a
 // partially-populated CrawlState. A count read from the file never sizes a
 // container: containers grow only as elements are actually read.
-//
-// The per-query trace is not persisted (it is a measurement aid, not crawl
-// state); a resumed crawl's trace starts at the resumption point.
 #pragma once
 
 #include <cstdint>

@@ -53,12 +53,6 @@ void CrawlContext::RecordAnswered(const Response& response) {
       options_.frontier_log->NoteSeen(rt.hidden_id);
     }
   }
-  if (options_.record_trace) {
-    state_->trace.push_back(TraceEntry{
-        state_->queries_issued, response.resolved(),
-        static_cast<uint32_t>(response.size()), state_->seen_rows.size(),
-        state_->tuples_collected});
-  }
 }
 
 std::vector<CrawlContext::Outcome> CrawlContext::IssueBatch(
@@ -164,18 +158,12 @@ void CrawlContext::CollectResponse(const Response& response) {
   for (const ReturnedTuple& rt : response.tuples) {
     Deliver(rt.tuple);
   }
-  if (options_.record_trace && !state_->trace.empty()) {
-    state_->trace.back().tuples_collected = state_->tuples_collected;
-  }
 }
 
 void CrawlContext::CollectFiltered(const std::vector<ReturnedTuple>& bag,
                                    const Query& filter) {
   for (const ReturnedTuple& rt : bag) {
     if (filter.Matches(rt.tuple)) Deliver(rt.tuple);
-  }
-  if (options_.record_trace && !state_->trace.empty()) {
-    state_->trace.back().tuples_collected = state_->tuples_collected;
   }
 }
 

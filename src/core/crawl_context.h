@@ -17,9 +17,9 @@ class Clock;
 
 /// Binds a crawl run together: the server, the mutable state and the run
 /// options. All queries flow through IssueBatch(), which enforces the budget,
-/// consults the dependency oracle, updates the seen-rows metric and the
-/// trace. All collection flows through the Collect* methods, which append to
-/// the extraction; callers are responsible for only collecting bags of
+/// consults the dependency oracle and updates the seen-rows metric. All
+/// collection flows through the Collect* methods, which append to the
+/// extraction; callers are responsible for only collecting bags of
 /// *resolved* queries over pairwise-disjoint regions (each algorithm's
 /// correctness argument).
 class CrawlContext {
@@ -95,7 +95,7 @@ class CrawlContext {
   uint64_t run_queries() const { return run_queries_; }
 
  private:
-  /// Budget/seen-rows/trace bookkeeping for one answered query.
+  /// Budget/seen-rows bookkeeping for one answered query.
   void RecordAnswered(const Response& response);
 
   /// Confirms one tuple into the extraction: residual plan filter,

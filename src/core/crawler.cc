@@ -51,7 +51,6 @@ CrawlResult Crawler::RunAndPackage(HiddenDbServer* server,
   result.queries_issued = state->queries_issued;
   result.rows_seen = state->seen_rows.size();
   result.tuples_collected = state->tuples_collected;
-  result.trace = state->trace;
   result.extracted = state->extracted;
   if (options.frontier_log != nullptr && state->fatal.ok()) {
     // Final commit: the run ended at a consistent point (crawlers re-push

@@ -2,9 +2,10 @@
 //
 // Common crawling framework. Every algorithm of the paper is implemented as
 // a Crawler operating on an explicit work frontier held in a CrawlState, so
-// that (i) crawls can be interrupted by a query budget and resumed later
-// against a fresh quota, and (ii) the harness can observe progressiveness
-// (Figure 13) query by query.
+// that crawls can be interrupted by a query budget and resumed later
+// against a fresh quota. Progressiveness (Figure 13) is observed at the
+// server boundary instead: a ProgressRecorder on an ObservedServer
+// (server/decorators.h) samples it query by query.
 #pragma once
 
 #include <cstdint>
@@ -28,20 +29,6 @@ class Clock;
 class CrawlPlan;
 class CrawlSink;
 class FrontierLogWriter;
-
-/// Per-query progress sample (recorded when CrawlOptions::record_trace).
-struct TraceEntry {
-  /// 1-based cumulative query count at the time this query was issued.
-  uint64_t query_index = 0;
-  bool resolved = false;
-  /// Tuples in this response.
-  uint32_t returned = 0;
-  /// Distinct physical rows retrieved so far (the Figure 13 "tuples output"
-  /// measure).
-  uint64_t rows_seen = 0;
-  /// Tuples confirmed into the extraction so far (from resolved regions).
-  uint64_t tuples_collected = 0;
-};
 
 struct CrawlOptions {
   /// Query budget for *this run* (Crawl or Resume call). When it runs out
@@ -75,9 +62,6 @@ struct CrawlOptions {
   /// null means the process-wide RealClock. Tests inject a FakeClock to
   /// make sizing decisions deterministic.
   Clock* clock = nullptr;
-
-  /// Record a TraceEntry per query (costs memory; off by default).
-  bool record_trace = false;
 
   /// Optional sound pruning oracle (Section 1.3); not owned.
   const DependencyOracle* oracle = nullptr;
@@ -141,7 +125,6 @@ class CrawlState {
   /// when materializing; still advances when CrawlOptions::materialize is
   /// off and tuples flow through the sink only).
   uint64_t tuples_collected = 0;
-  std::vector<TraceEntry> trace;
   Status fatal;  // e.g. Unsolvable; sticky
 };
 
@@ -165,8 +148,6 @@ struct CrawlResult {
   /// Cumulative tuples confirmed (equals extracted.size() unless the crawl
   /// ran with materialize off).
   uint64_t tuples_collected = 0;
-
-  std::vector<TraceEntry> trace;
 
   /// Set iff status is ResourceExhausted; pass to Crawler::Resume.
   std::shared_ptr<CrawlState> resume_state;

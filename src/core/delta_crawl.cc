@@ -33,7 +33,18 @@ Status NextLine(std::istream* in, std::string* line) {
   return Status::OK();
 }
 
-// Tagged-line parsing uses ExpectTagged from core/checkpoint.h.
+/// Reads the next line as "<tag> <count>". Counts parse strictly
+/// (ParseUint64Token), so a damaged file is a typed error, never a throw.
+Status NextCount(std::istream* in, const std::string& tag, uint64_t* out) {
+  std::string line, rest;
+  HDC_RETURN_IF_ERROR(NextLine(in, &line));
+  HDC_RETURN_IF_ERROR(ExpectTagged(line, tag, &rest));
+  if (Status s = ParseUint64Token(rest, out); !s.ok()) {
+    return Status::InvalidArgument("crawl record " + tag + ": " +
+                                   s.message());
+  }
+  return Status::OK();
+}
 
 /// Splits an overflowing rectangle into disjoint children covering it
 /// exactly, pushed so the DFS pops them in ascending order: a categorical
@@ -269,11 +280,9 @@ Status SaveCrawlRecord(const CrawlRecord& record, std::ostream* out) {
 
 Status SaveCrawlRecordFile(const CrawlRecord& record,
                            const std::string& path) {
-  std::ofstream out(path);
-  if (!out.is_open()) {
-    return Status::Internal("cannot open '" + path + "' for writing");
-  }
-  return SaveCrawlRecord(record, &out);
+  std::ostringstream out;
+  HDC_RETURN_IF_ERROR(SaveCrawlRecord(record, &out));
+  return WriteFileDurably(path, out.str());
 }
 
 Status LoadCrawlRecord(std::istream* in, SchemaPtr schema, CrawlRecord* out) {
@@ -293,34 +302,32 @@ Status LoadCrawlRecord(std::istream* in, SchemaPtr schema, CrawlRecord* out) {
         FormatSchemaSpec(*schema) + "'");
   }
 
+  // Counts in the file never size a container: the loops below grow the
+  // record as elements are actually read, so a damaged count ends in a
+  // typed truncation error rather than a huge allocation.
   CrawlRecord record;
   record.schema = schema;
-  HDC_RETURN_IF_ERROR(NextLine(in, &line));
-  HDC_RETURN_IF_ERROR(ExpectTagged(line, "version", &rest));
-  record.db_version = std::stoull(rest);
-  HDC_RETURN_IF_ERROR(NextLine(in, &line));
-  HDC_RETURN_IF_ERROR(ExpectTagged(line, "queries", &rest));
-  record.queries_spent = std::stoull(rest);
-  HDC_RETURN_IF_ERROR(NextLine(in, &line));
-  HDC_RETURN_IF_ERROR(ExpectTagged(line, "regions", &rest));
-  const size_t region_count = std::stoull(rest);
+  HDC_RETURN_IF_ERROR(NextCount(in, "version", &record.db_version));
+  HDC_RETURN_IF_ERROR(NextCount(in, "queries", &record.queries_spent));
+  uint64_t region_count = 0;
+  HDC_RETURN_IF_ERROR(NextCount(in, "regions", &region_count));
 
   const size_t arity = schema->num_attributes();
-  record.regions.reserve(region_count);
-  for (size_t r = 0; r < region_count; ++r) {
+  for (uint64_t r = 0; r < region_count; ++r) {
     HDC_RETURN_IF_ERROR(NextLine(in, &line));
     HDC_RETURN_IF_ERROR(ExpectTagged(line, "region", &rest));
     std::istringstream tokens(rest);
-    uint64_t content_hash = 0;
-    size_t tuple_count = 0;
-    if (!(tokens >> content_hash >> tuple_count)) {
+    std::string hash_token, count_token;
+    uint64_t content_hash = 0, tuple_count = 0;
+    if (!(tokens >> hash_token >> count_token) ||
+        !ParseUint64Token(hash_token, &content_hash).ok() ||
+        !ParseUint64Token(count_token, &tuple_count).ok()) {
       return Status::InvalidArgument("malformed region header: " + line);
     }
     Query rectangle = Query::FullSpace(schema);
     HDC_RETURN_IF_ERROR(DecodeQueryTokens(&tokens, schema, &rectangle));
     CrawlRecordRegion region{std::move(rectangle), Response{}, content_hash};
-    region.answer.tuples.reserve(tuple_count);
-    for (size_t t = 0; t < tuple_count; ++t) {
+    for (uint64_t t = 0; t < tuple_count; ++t) {
       HDC_RETURN_IF_ERROR(NextLine(in, &line));
       std::istringstream row(line);
       ReturnedTuple rt;

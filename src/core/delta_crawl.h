@@ -142,8 +142,13 @@ CrawlDelta DiffRecords(const CrawlRecord& before, const CrawlRecord& after);
 //   <hidden_id> <v1> ... <vd>                        (one per tuple)
 // Content hashes are re-verified against the decoded tuples on load, so a
 // corrupted record is rejected instead of silently seeding a wrong cache.
+// Counts and header tokens parse strictly, and no count read from the file
+// sizes a container: a damaged record is a typed InvalidArgument, never a
+// throw or a huge allocation.
 
 Status SaveCrawlRecord(const CrawlRecord& record, std::ostream* out);
+/// Crash-atomic (WriteFileDurably: temp file, fsync, rename): a crash
+/// mid-save leaves the old record or the new one, never a torn file.
 Status SaveCrawlRecordFile(const CrawlRecord& record,
                            const std::string& path);
 /// `schema` must equal the recorded spec exactly (records are bound to the

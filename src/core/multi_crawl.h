@@ -36,7 +36,7 @@ struct MultiCrawlJob {
   /// CrawlState).
   std::shared_ptr<Crawler> crawler;
 
-  /// Per-run options (budget for this run, batch size, trace, oracle).
+  /// Per-run options (budget for this run, batch size, oracle).
   CrawlOptions crawl;
 
   /// Per-session metering and admission (server-side budget, audit log,

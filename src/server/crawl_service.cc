@@ -85,20 +85,24 @@ ServerSession::ServerSession(CrawlService* service, uint64_t id,
       weight_(options.weight),
       max_lane_parallelism_(options.max_lane_parallelism) {
   // Compose the metering stack bottom-up, each layer borrowing the one
-  // below it. Order (bottom to top): evaluation core, observer, audit log,
-  // budget, schema override — so a budget-refused query is neither logged
-  // nor observed (it never happened), matching the sequential
-  // BudgetServer(QueryLogServer(LocalServer)) conversation.
+  // below it. Order (bottom to top): evaluation core, observer, budget,
+  // schema override — so a budget-refused query is neither observed nor
+  // logged (it never happened), matching the sequential
+  // BudgetServer(ObservedServer(LocalServer)) conversation. The user
+  // observer and the audit log share the one observer layer, which exists
+  // only when at least one of them is set.
   layers_.push_back(std::make_unique<Core>(this));
-  if (options.observer) {
-    layers_.push_back(std::make_unique<ObservedServer>(
-        layers_.back().get(), std::move(options.observer)));
-  }
+  ObservedServer::Callback observe = std::move(options.observer);
   if (options.query_log != nullptr) {
-    auto log = std::make_unique<QueryLogServer>(layers_.back().get(),
-                                                options.query_log);
-    log_ = log.get();
-    layers_.push_back(std::move(log));
+    observe = [user = std::move(observe), log = AuditLog(options.query_log)](
+                  const Query& query, const Response& response) {
+      if (user) user(query, response);
+      log(query, response);
+    };
+  }
+  if (observe) {
+    layers_.push_back(std::make_unique<ObservedServer>(layers_.back().get(),
+                                                       std::move(observe)));
   }
   if (options.max_queries != kUnlimitedQueries) {
     auto budget = std::make_unique<BudgetServer>(layers_.back().get(),

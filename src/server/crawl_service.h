@@ -10,7 +10,7 @@
 //   ------------                    ----------------------------
 //   shared LocalIndex (const)       per-session statistics
 //   shared WorkerPool               per-session query budget
-//   session minting + registry      per-session audit log + observer
+//   session minting + registry      per-session observer (audit log)
 //   service-wide metrics            per-session scheduling lane
 //
 // A session is a full HiddenDbServer, so every crawler, decorator, and
@@ -102,11 +102,12 @@ struct SessionOptions {
   uint64_t max_queries = kUnlimitedQueries;
 
   /// When set, streams the session's audit log — one line per answered
-  /// query, QueryLogServer format — to this stream (not owned; must
-  /// outlive the session).
+  /// query, AuditLog format (server/decorators.h) — to this stream (not
+  /// owned; must outlive the session).
   std::ostream* query_log = nullptr;
 
-  /// When set, invoked after every answered query (ObservedServer).
+  /// When set, invoked after every answered query, before its audit line
+  /// (both ride the session's one ObservedServer layer).
   ObservedServer::Callback observer;
 
   /// When set, the session presents this (compatible) schema instead of
@@ -228,9 +229,6 @@ class ServerSession : public HiddenDbServer {
   /// service runs without a pool, i.e. max_parallelism == 1).
   WorkerPool::LaneStats lane_stats() const;
 
-  /// Lines written to the audit log so far (0 without a query_log).
-  uint64_t logged() const { return log_ != nullptr ? log_->logged() : 0; }
-
  private:
   friend class CrawlService;
 
@@ -277,7 +275,6 @@ class ServerSession : public HiddenDbServer {
   /// back() is the entry point. The raw pointers below alias its layers.
   std::vector<std::unique_ptr<HiddenDbServer>> layers_;
   BudgetServer* budget_ = nullptr;
-  QueryLogServer* log_ = nullptr;
 
   EvalScratch scratch_;
   std::atomic<uint64_t> queries_served_{0};

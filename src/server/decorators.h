@@ -27,6 +27,7 @@
 #include <functional>
 #include <ostream>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -66,7 +67,8 @@ class ServerDecorator : public HiddenDbServer {
 /// *below* the retry layer: RetryingServer(CountingServer(base)) meters
 /// every attempt, while CountingServer(RetryingServer(base)) counts only
 /// queries that ultimately succeeded (each retried-then-successful query
-/// counts once). To see each answered member, stack an ObservedServer.
+/// counts once). To see each answered member, stack an ObservedServer —
+/// the one per-query hook.
 class CountingServer : public ServerDecorator {
  public:
   explicit CountingServer(HiddenDbServer* base) : ServerDecorator(base) {}
@@ -239,16 +241,12 @@ class FlakyServer : public ServerDecorator {
 /// A batch is forwarded whole; when the base fails the batch at some member
 /// with a transient error, the unanswered suffix is re-submitted, charging
 /// the retry to the member at the failure point. A member that exhausts its
-/// allowance fails the batch there (prefix kept). attempts_trace() exposes
-/// how many attempts each ultimately-answered query cost, so a retried-
-/// then-successful query is distinguishable downstream from a clean one;
-/// see CountingServer for which wrapper order meters retries as queries.
+/// allowance fails the batch there (prefix kept). See CountingServer for
+/// which wrapper order meters retries as queries.
 class RetryingServer : public ServerDecorator {
  public:
-  RetryingServer(HiddenDbServer* base, uint64_t max_retries,
-                 bool keep_attempts_trace = false)
-      : ServerDecorator(base), max_retries_(max_retries),
-        keep_attempts_trace_(keep_attempts_trace) {}
+  RetryingServer(HiddenDbServer* base, uint64_t max_retries)
+      : ServerDecorator(base), max_retries_(max_retries) {}
 
   Status IssueBatch(const std::vector<Query>& queries,
                     std::vector<Response>* responses) override {
@@ -260,20 +258,14 @@ class RetryingServer : public ServerDecorator {
       const std::vector<Query> rest(queries.begin() + done, queries.end());
       std::vector<Response> part;
       Status s = base_->IssueBatch(rest, &part);
-      for (size_t j = 0; j < part.size(); ++j) {
-        RecordAnswered(j == 0 ? front_retries + 1 : 1);
-        responses->push_back(std::move(part[j]));
-      }
+      for (Response& r : part) responses->push_back(std::move(r));
       if (!part.empty()) front_retries = 0;
       done += part.size();
       if (s.ok()) {
         HDC_CHECK(done == queries.size());
         return s;
       }
-      if (!s.IsTransient() || front_retries >= max_retries_) {
-        last_attempts_ = front_retries + 1;
-        return s;
-      }
+      if (!s.IsTransient() || front_retries >= max_retries_) return s;
       ++front_retries;
       ++retries_performed_;
     }
@@ -282,34 +274,15 @@ class RetryingServer : public ServerDecorator {
 
   uint64_t retries_performed() const { return retries_performed_; }
 
-  /// Attempts (1 = clean) consumed by the most recent query that concluded
-  /// — answered or given up on.
-  uint64_t last_attempts() const { return last_attempts_; }
-
-  /// One entry per answered query, in issue order: how many attempts it
-  /// took. Only populated when constructed with keep_attempts_trace.
-  const std::vector<uint32_t>& attempts_trace() const {
-    return attempts_trace_;
-  }
-
  private:
-  void RecordAnswered(uint64_t attempts) {
-    last_attempts_ = attempts;
-    if (keep_attempts_trace_) {
-      attempts_trace_.push_back(static_cast<uint32_t>(attempts));
-    }
-  }
-
   uint64_t max_retries_;
-  bool keep_attempts_trace_;
   uint64_t retries_performed_ = 0;
-  uint64_t last_attempts_ = 0;
-  std::vector<uint32_t> attempts_trace_;
 };
 
-/// Invokes a callback after every successful query — used by benches to
-/// sample progressiveness curves without entangling crawler internals.
-/// Batch members fire the callback in issue order, answered prefix only.
+/// The one per-query hook: invokes a callback after every answered query,
+/// batch members in issue order (answered prefix only), so subscribers see
+/// the sequential conversation whatever the batch size. The audit log
+/// (AuditLog) and the Figure 13 trace (ProgressRecorder) subscribe here.
 class ObservedServer : public ServerDecorator {
  public:
   using Callback = std::function<void(const Query&, const Response&)>;
@@ -332,41 +305,48 @@ class ObservedServer : public ServerDecorator {
   Callback callback_;
 };
 
-/// Audit log: streams one line per query to `out` —
+/// Audit log, as an ObservedServer callback: streams one line per answered
+/// query to `out` —
 ///   <index>\t<resolved|OVERFLOW>\t<returned>\t<query>
 /// so an operator can review exactly what a crawl asked a site, or diff
-/// two crawls' query sequences. Batch members are logged in issue order
-/// (answered prefix only), so the log stays a faithful, diffable record of
-/// the conversation whatever the batch size. The stream is not owned and
-/// must outlive the decorator.
-class QueryLogServer : public ServerDecorator {
+/// two crawls' query sequences. The stream is not owned and must outlive
+/// the callback.
+inline ObservedServer::Callback AuditLog(std::ostream* out) {
+  HDC_CHECK(out != nullptr);
+  return [out, index = uint64_t{0}](const Query& query,
+                                    const Response& response) mutable {
+    *out << ++index << '\t' << (response.overflow ? "OVERFLOW" : "resolved")
+         << '\t' << response.size() << '\t' << query.ToString() << '\n';
+  };
+}
+
+/// One answered query as a ProgressRecorder saw it. rows_seen counts the
+/// distinct hidden ids retrieved so far — Figure 13's "tuples output", and
+/// CrawlState::seen_rows.size() for a recorder directly beneath a crawler.
+struct ProgressSample {
+  uint64_t query_index = 0;  // 1-based
+  bool resolved = false;
+  uint32_t returned = 0;  // tuples in this response
+  uint64_t rows_seen = 0;
+};
+
+/// Figure 13's progress trace: pass it to an ObservedServer by reference
+/// (std::ref) and it appends one ProgressSample per answered query. The
+/// caller owns it, so one recorder spans a Crawl and every Resume after it.
+class ProgressRecorder {
  public:
-  QueryLogServer(HiddenDbServer* base, std::ostream* out)
-      : ServerDecorator(base), out_(out) {
-    HDC_CHECK(out != nullptr);
+  void operator()(const Query& /*query*/, const Response& response) {
+    for (const ReturnedTuple& rt : response.tuples) seen_.insert(rt.hidden_id);
+    samples_.push_back(ProgressSample{samples_.size() + 1, response.resolved(),
+                                      static_cast<uint32_t>(response.size()),
+                                      seen_.size()});
   }
 
-  Status IssueBatch(const std::vector<Query>& queries,
-                    std::vector<Response>* responses) override {
-    Status s = base_->IssueBatch(queries, responses);
-    for (size_t i = 0; i < responses->size(); ++i) {
-      Log(queries[i], (*responses)[i]);
-    }
-    return s;
-  }
-
-  uint64_t logged() const { return index_; }
+  const std::vector<ProgressSample>& samples() const { return samples_; }
 
  private:
-  void Log(const Query& query, const Response& response) {
-    ++index_;
-    *out_ << index_ << '\t'
-          << (response.overflow ? "OVERFLOW" : "resolved") << '\t'
-          << response.size() << '\t' << query.ToString() << '\n';
-  }
-
-  std::ostream* out_;
-  uint64_t index_ = 0;
+  std::unordered_set<uint64_t> seen_;
+  std::vector<ProgressSample> samples_;
 };
 
 }  // namespace hdc

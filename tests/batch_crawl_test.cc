@@ -2,7 +2,7 @@
 //
 // Batched crawling semantics. The contract under test: batch_size == 1
 // reproduces the strictly sequential server conversation byte for byte
-// (QueryLogServer diff), and any batch_size yields the identical extraction
+// (audit-log diff), and any batch_size yields the identical extraction
 // and the identical query count — batching may only reorder the
 // conversation, never grow or shrink it.
 #include <gtest/gtest.h>
@@ -111,7 +111,7 @@ std::pair<CrawlResult, std::string> LoggedCrawl(const BatchCase& test_case,
   server_options.max_parallelism = max_parallelism;
   LocalServer base(shared, k, nullptr, server_options);
   std::ostringstream log;
-  QueryLogServer logged(&base, &log);
+  ObservedServer logged(&base, AuditLog(&log));
   auto crawler = test_case.make_crawler();
   CrawlOptions options;
   options.batch_size = batch_size;
@@ -139,7 +139,7 @@ TEST_P(BatchCrawlTest, BatchSizeOneIsTheSequentialConversation) {
   const uint64_t k = std::max(test_case.k, data.MaxPointMultiplicity());
 
   // Default options (batch_size defaults to 1) vs explicit batch_size = 1:
-  // the QueryLogServer transcript must be byte-identical — batching is
+  // the audit-log transcript must be byte-identical — batching is
   // invisible until it is asked for.
   auto [default_result, default_log] = LoggedCrawl(test_case, data, k, 1);
   ASSERT_TRUE(default_result.status.ok())
@@ -148,7 +148,7 @@ TEST_P(BatchCrawlTest, BatchSizeOneIsTheSequentialConversation) {
   auto shared = std::make_shared<Dataset>(data);
   LocalServer base(shared, k);
   std::ostringstream log;
-  QueryLogServer logged(&base, &log);
+  ObservedServer logged(&base, AuditLog(&log));
   auto crawler = test_case.make_crawler();
   CrawlResult result = crawler->Crawl(&logged);  // default CrawlOptions
   ASSERT_TRUE(result.status.ok());

@@ -1,12 +1,14 @@
 // Copyright (c) hdc authors. Apache-2.0 license.
 //
 // Direct tests of the crawl framework plumbing (CrawlContext): budget
-// accounting, oracle pruning, interruption semantics, trace recording and
-// collection filters — independent of any specific algorithm.
+// accounting, oracle pruning, interruption semantics, the progress trace
+// seen from beneath the context, and collection filters — independent of
+// any specific algorithm.
 #include "core/crawl_context.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -116,24 +118,30 @@ TEST_F(ContextFixture, SetFatalStopsAndSticks) {
   EXPECT_TRUE(again.stopped());
 }
 
-TEST_F(ContextFixture, TraceRecordsPerQueryEntries) {
-  CrawlOptions options;
-  options.record_trace = true;
-  CrawlContext ctx(server_.get(), state_.get(), options);
+// The Figure 13 progress trace is recorded at the server boundary: a
+// ProgressRecorder directly beneath the context sees every answered query,
+// and its rows_seen tracks the state's seen-rows metric exactly.
+TEST_F(ContextFixture, ProgressRecorderBeneathContextSeesEveryQuery) {
+  ProgressRecorder recorder;
+  ObservedServer observed(server_.get(), std::ref(recorder));
+  CrawlContext ctx(&observed, state_.get(), {});
   Response r;
   ASSERT_EQ(IssueOne(&ctx, Full(), &r), CrawlContext::Outcome::kOverflow);
+  ASSERT_EQ(recorder.samples().size(), 1u);
+  EXPECT_EQ(recorder.samples()[0].rows_seen, state_->seen_rows.size());
   ASSERT_EQ(IssueOne(&ctx, Full().WithNumericRange(0, 0, 10), &r),
             CrawlContext::Outcome::kResolved);
   ctx.CollectResponse(r);
-  ASSERT_EQ(state_->trace.size(), 2u);
-  EXPECT_EQ(state_->trace[0].query_index, 1u);
-  EXPECT_FALSE(state_->trace[0].resolved);
-  EXPECT_EQ(state_->trace[0].returned, 4u);
-  EXPECT_EQ(state_->trace[0].tuples_collected, 0u);
-  EXPECT_TRUE(state_->trace[1].resolved);
-  EXPECT_EQ(state_->trace[1].returned, 3u);
-  // Collection after the issue updates the last entry.
-  EXPECT_EQ(state_->trace[1].tuples_collected, 3u);
+  const std::vector<ProgressSample>& trace = recorder.samples();
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace[0].query_index, 1u);
+  EXPECT_FALSE(trace[0].resolved);
+  EXPECT_EQ(trace[0].returned, 4u);
+  EXPECT_EQ(trace[0].rows_seen, 4u);
+  EXPECT_EQ(trace[1].query_index, 2u);
+  EXPECT_TRUE(trace[1].resolved);
+  EXPECT_EQ(trace[1].returned, 3u);
+  EXPECT_EQ(trace[1].rows_seen, state_->seen_rows.size());
 }
 
 TEST_F(ContextFixture, ExternalFailureBecomesInterrupt) {
@@ -203,22 +211,24 @@ TEST_F(ContextFixture, BatchPrunesPerMemberWithoutSpendingQueries) {
   EXPECT_FALSE(ctx.stopped());
 }
 
-TEST_F(ContextFixture, BatchTracesInIssueOrder) {
-  CrawlOptions options;
-  options.record_trace = true;
-  CrawlContext ctx(server_.get(), state_.get(), options);
+TEST_F(ContextFixture, BatchProgressIsRecordedInIssueOrder) {
+  ProgressRecorder recorder;
+  ObservedServer observed(server_.get(), std::ref(recorder));
+  CrawlContext ctx(&observed, state_.get(), {});
   std::vector<Query> queries = {Full(), Full().WithNumericRange(0, 0, 10)};
   std::vector<Response> responses;
   auto outcomes = ctx.IssueBatch(queries, &responses);
   EXPECT_EQ(outcomes[0], CrawlContext::Outcome::kOverflow);
   EXPECT_EQ(outcomes[1], CrawlContext::Outcome::kResolved);
-  ASSERT_EQ(state_->trace.size(), 2u);
-  EXPECT_EQ(state_->trace[0].query_index, 1u);
-  EXPECT_FALSE(state_->trace[0].resolved);
-  EXPECT_EQ(state_->trace[0].returned, 4u);
-  EXPECT_EQ(state_->trace[1].query_index, 2u);
-  EXPECT_TRUE(state_->trace[1].resolved);
-  EXPECT_EQ(state_->trace[1].returned, 3u);
+  const std::vector<ProgressSample>& trace = recorder.samples();
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace[0].query_index, 1u);
+  EXPECT_FALSE(trace[0].resolved);
+  EXPECT_EQ(trace[0].returned, 4u);
+  EXPECT_EQ(trace[1].query_index, 2u);
+  EXPECT_TRUE(trace[1].resolved);
+  EXPECT_EQ(trace[1].returned, 3u);
+  EXPECT_EQ(trace[1].rows_seen, state_->seen_rows.size());
 }
 
 TEST_F(ContextFixture, BatchStopsSuffixOnServerFailure) {

@@ -6,6 +6,7 @@
 // LocalIndex serves any number of servers without cross-talk.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -60,17 +61,17 @@ std::vector<AlgoCase> AllAlgorithms() {
 }
 
 // The acceptance gate: for every algorithm, one service session with an
-// audit log reproduces the LocalServer + QueryLogServer transcript byte
+// audit log reproduces the LocalServer + AuditLog transcript byte
 // for byte.
 TEST(CrawlServiceTest, SingleSessionTranscriptMatchesLocalServer) {
   for (const AlgoCase& algo : AllAlgorithms()) {
     auto data = algo.categorical ? CategoricalData() : NumericData();
     const uint64_t k = std::max<uint64_t>(8, data->MaxPointMultiplicity());
 
-    // Classic stack: a private LocalServer behind a QueryLogServer.
+    // Classic stack: a private LocalServer behind an audit-log observer.
     std::ostringstream classic_log;
     LocalServer server(data, k);
-    QueryLogServer logged(&server, &classic_log);
+    ObservedServer logged(&server, AuditLog(&classic_log));
     CrawlResult classic = algo.make_crawler()->Crawl(&logged);
     ASSERT_TRUE(classic.status.ok())
         << algo.label << ": " << classic.status.ToString();
@@ -93,7 +94,11 @@ TEST(CrawlServiceTest, SingleSessionTranscriptMatchesLocalServer) {
     EXPECT_TRUE(Dataset::MultisetEquals(result.extracted, *data))
         << algo.label;
     EXPECT_EQ(session->queries_served(), result.queries_issued) << algo.label;
-    EXPECT_EQ(session->logged(), session->queries_served()) << algo.label;
+    const std::string transcript = session_log.str();
+    EXPECT_EQ(static_cast<uint64_t>(
+                  std::count(transcript.begin(), transcript.end(), '\n')),
+              session->queries_served())
+        << algo.label;
   }
 }
 
@@ -267,7 +272,7 @@ TEST(CrawlServiceTest, AutoBatchOnSingleLaneIsSequential) {
   std::ostringstream sequential_log, auto_log;
   {
     LocalServer server(data, k);
-    QueryLogServer logged(&server, &sequential_log);
+    ObservedServer logged(&server, AuditLog(&sequential_log));
     DfsCrawler dfs;
     ASSERT_TRUE(dfs.Crawl(&logged).status.ok());
   }

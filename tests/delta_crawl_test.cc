@@ -4,14 +4,18 @@
 // insert/delete/update sets must exactly equal the diff a full re-crawl
 // would compute, while billing only the changed subspace. Also covers the
 // convergence loop under mid-crawl scheduled mutations and the crawl
-// record save/load codec (including corruption rejection).
+// record save/load codec (including corruption rejection, hostile counts
+// and crash-atomic file saves).
 #include "core/delta_crawl.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "server/answer_cache.h"
@@ -342,6 +346,85 @@ TEST(CrawlRecordCodecTest, RejectsCorruptionAndWrongSchema) {
     EXPECT_TRUE(LoadCrawlRecord(&in, record.schema, &loaded)
                     .IsInvalidArgument());
   }
+}
+
+/// `text` with the first line that starts with `tag` replaced by `line`.
+std::string WithLine(std::string text, const std::string& tag,
+                     const std::string& line) {
+  const size_t from = text.find("\n" + tag) + 1;
+  return text.replace(from, text.find('\n', from) - from, line);
+}
+
+/// A saved record of TinyData, the base text of the hostile inputs below.
+std::string SavedTinyRecord() {
+  MutatingLocalServer server(TinyData(), 4);
+  CrawlRecord record;
+  HDC_CHECK_OK(BuildCrawlRecord(&server, &record));
+  std::ostringstream out;
+  HDC_CHECK_OK(SaveCrawlRecord(record, &out));
+  return out.str();
+}
+
+Status LoadTinyRecord(const std::string& text) {
+  std::istringstream in(text);
+  CrawlRecord loaded;
+  return LoadCrawlRecord(&in, TinyData()->schema(), &loaded);
+}
+
+TEST(CrawlRecordCodecTest, UnparsableVersionIsInvalidArgument) {
+  EXPECT_TRUE(
+      LoadTinyRecord(WithLine(SavedTinyRecord(), "version ", "version abc"))
+          .IsInvalidArgument());
+}
+
+TEST(CrawlRecordCodecTest, HugeRegionCountIsInvalidArgument) {
+  EXPECT_TRUE(LoadTinyRecord(WithLine(SavedTinyRecord(), "regions ",
+                                      "regions 18446744073709551615"))
+                  .IsInvalidArgument());
+}
+
+TEST(CrawlRecordCodecTest, HugeRegionTupleCountIsInvalidArgument) {
+  // The first region header, claiming 2^62 tuples.
+  const std::string text = SavedTinyRecord();
+  const size_t from = text.find("\nregion ") + 1;
+  std::istringstream header(text.substr(from, text.find('\n', from) - from));
+  std::string tag, hash, count, extents;
+  header >> tag >> hash >> count;
+  std::getline(header, extents);
+  EXPECT_TRUE(LoadTinyRecord(WithLine(text, "region ",
+                                      "region " + hash +
+                                          " 4611686018427387904" + extents))
+                  .IsInvalidArgument());
+}
+
+TEST(CrawlRecordCodecTest, OverwritingARecordFileLoadsTheNewOne) {
+  const std::string path = ::testing::TempDir() + "/hdc_crawl_record.txt";
+  MutatingLocalServer server(TinyData(), 4);
+  CrawlRecord before;
+  ASSERT_TRUE(BuildCrawlRecord(&server, &before).ok());
+  ASSERT_TRUE(SaveCrawlRecordFile(before, path).ok());
+  ASSERT_TRUE(server.Apply({Mutation::Insert(Tuple({42}))}).ok());
+  CrawlRecord after;
+  CrawlDelta delta;
+  ASSERT_TRUE(DeltaCrawl(&server, before, &after, &delta).ok());
+  ASSERT_NE(after.db_version, before.db_version);
+  ASSERT_TRUE(SaveCrawlRecordFile(after, path).ok());
+
+  CrawlRecord loaded;
+  ASSERT_TRUE(LoadCrawlRecordFile(path, after.schema, &loaded).ok());
+  EXPECT_EQ(loaded.db_version, after.db_version);
+  EXPECT_TRUE(DiffRecords(after, loaded).empty());
+  std::remove(path.c_str());
+}
+
+TEST(CrawlRecordCodecTest, SaveIntoMissingDirectoryLeavesNoFile) {
+  const std::string dir = ::testing::TempDir() + "/hdc_no_such_dir";
+  MutatingLocalServer server(TinyData(), 4);
+  CrawlRecord record;
+  ASSERT_TRUE(BuildCrawlRecord(&server, &record).ok());
+  const Status s = SaveCrawlRecordFile(record, dir + "/record.txt");
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "core/checkpoint.h"
 #include "gen/synthetic.h"
@@ -119,9 +118,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
 #if !defined(HDC_HAVE_LIBFUZZER)
 
-// Standalone driver: replays corpus files (regression mode, registered as
-// the tier-1 `crawl_state_fuzz_replay` ctest) and regenerates the seed
-// corpus. libFuzzer builds get their main() from the sanitizer runtime.
+// Standalone driver (replay_driver.h): replays corpus files (regression
+// mode, registered as the tier-1 `crawl_state_fuzz_replay` ctest) and
+// regenerates the seed corpus. libFuzzer builds get their main() from the
+// sanitizer runtime.
 
 #include <algorithm>
 #include <cstdio>
@@ -132,44 +132,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 #include "core/crawlers.h"
 #include "core/frontier_log.h"
 #include "core/session_checkpoint.h"
+#include "replay_driver.h"
 #include "server/crawl_service.h"
 #include "server/local_server.h"
 
 namespace {
 
 namespace fs = std::filesystem;
-
-int ReplayFile(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::cerr << "cannot read " << path << "\n";
-    return 1;
-  }
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  FuzzOne(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
-  return 0;
-}
-
-int Replay(const std::vector<std::string>& args) {
-  size_t replayed = 0;
-  for (const std::string& arg : args) {
-    const fs::path path(arg);
-    if (fs::is_directory(path)) {
-      for (const fs::directory_entry& entry : fs::directory_iterator(path)) {
-        if (!entry.is_regular_file()) continue;
-        if (ReplayFile(entry.path()) != 0) return 1;
-        ++replayed;
-      }
-    } else {
-      if (ReplayFile(path) != 0) return 1;
-      ++replayed;
-    }
-  }
-  std::cout << "crawl_state_fuzz: replayed " << replayed
-            << " input(s), no crash\n";
-  return 0;
-}
 
 uint64_t KFor(const Dataset& data) {
   return std::max<uint64_t>(8, data.MaxPointMultiplicity());
@@ -280,16 +249,8 @@ int Generate(const std::string& dir_arg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  if (args.size() == 2 && args[0] == "--generate") {
-    return Generate(args[1]);
-  }
-  if (args.empty()) {
-    std::cerr << "usage: " << argv[0]
-              << " <corpus file or dir>... | --generate <dir>\n";
-    return 2;
-  }
-  return Replay(args);
+  return hdc::fuzz::ReplayMain(argc, argv, "crawl_state_fuzz", FuzzOne,
+                               Generate);
 }
 
 #endif  // !HDC_HAVE_LIBFUZZER

@@ -6,12 +6,15 @@
 // multiset verification.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "core/crawlers.h"
 #include "gen/adult_gen.h"
 #include "gen/nsf_gen.h"
 #include "gen/yahoo_gen.h"
+#include "server/decorators.h"
 #include "server/local_server.h"
 
 namespace hdc {
@@ -106,13 +109,14 @@ TEST(IntegrationTest, ProgressivenessIsRoughlyLinear) {
   // quarter of the rows have been seen.
   auto data = std::make_shared<Dataset>(GenerateYahoo());
   LocalServer server(data, /*k=*/256);
+  ProgressRecorder recorder;
+  ObservedServer observed(&server, std::ref(recorder));
   HybridCrawler crawler;
-  CrawlOptions options;
-  options.record_trace = true;
-  CrawlResult result = crawler.Crawl(&server, options);
+  CrawlResult result = crawler.Crawl(&observed);
   ASSERT_TRUE(result.status.ok());
-  ASSERT_FALSE(result.trace.empty());
-  const TraceEntry& mid = result.trace[result.trace.size() / 2];
+  const std::vector<ProgressSample>& trace = recorder.samples();
+  ASSERT_FALSE(trace.empty());
+  const ProgressSample& mid = trace[trace.size() / 2];
   EXPECT_GE(mid.rows_seen, data->size() / 4);
 }
 

@@ -7,12 +7,15 @@
 // these tests catch it before EXPERIMENTS.md goes stale.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "core/crawlers.h"
 #include "gen/adult_gen.h"
 #include "gen/nsf_gen.h"
 #include "gen/yahoo_gen.h"
+#include "server/decorators.h"
 #include "server/local_server.h"
 
 namespace hdc {
@@ -125,13 +128,14 @@ TEST_F(PaperShapes, Fig12HybridScalesAndYahooGapAtK64) {
 // Yahoo's rows have been retrieved.
 TEST_F(PaperShapes, Fig13ProgressivenessNearLinear) {
   LocalServer server(*yahoo_, 256);
+  ProgressRecorder recorder;
+  ObservedServer observed(&server, std::ref(recorder));
   HybridCrawler hybrid;
-  CrawlOptions options;
-  options.record_trace = true;
-  CrawlResult result = hybrid.Crawl(&server, options);
+  CrawlResult result = hybrid.Crawl(&observed);
   ASSERT_TRUE(result.status.ok());
-  ASSERT_FALSE(result.trace.empty());
-  const TraceEntry& mid = result.trace[result.trace.size() / 2];
+  const std::vector<ProgressSample>& trace = recorder.samples();
+  ASSERT_FALSE(trace.empty());
+  const ProgressSample& mid = trace[trace.size() / 2];
   EXPECT_GE(3 * mid.rows_seen, (*yahoo_)->size());
 }
 

@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 
 #include "fixed_priority_policy.h"
 #include "gen/synthetic.h"
+#include "server/decorators.h"
 #include "server/local_server.h"
 #include "test_util.h"
 
@@ -50,17 +52,17 @@ TEST(RankShrinkTest, PaperFigure3Example) {
       std::vector<uint64_t>{50, 51, 10, 100, 52, 101, 102, 103});
 
   LocalServer server(data, /*k=*/4, std::move(policy));
+  ProgressRecorder recorder;
+  ObservedServer observed(&server, std::ref(recorder));
   RankShrink crawler;
-  CrawlOptions options;
-  options.record_trace = true;
-  CrawlResult result = crawler.Crawl(&server, options);
+  CrawlResult result = crawler.Crawl(&observed);
 
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_TRUE(Dataset::MultisetEquals(result.extracted, *data));
   EXPECT_EQ(result.queries_issued, 6u);
 
   int overflows = 0, resolved = 0;
-  for (const TraceEntry& e : result.trace) {
+  for (const ProgressSample& e : recorder.samples()) {
     e.resolved ? ++resolved : ++overflows;
   }
   EXPECT_EQ(overflows, 2);
