@@ -108,12 +108,13 @@ Status FrontierLogWriter::Commit(const CrawlState& state) {
                      frontier != last_frontier_;
   if (!dirty) return Status::OK();
 
+  Status written;
   if (!have_snapshot_ || bytes_ >= options_.rotate_bytes) {
-    HDC_RETURN_IF_ERROR(WriteSnapshot(state, std::move(frontier)));
+    written = WriteSnapshot(state, std::move(frontier));
   } else {
-    ++seq_;
+    const uint64_t seq = seq_ + 1;
     std::ostringstream rec;
-    rec << "round " << seq_ << '\n';
+    rec << "round " << seq << '\n';
     rec << "queries " << state.queries_issued << '\n';
     rec << "collected " << state.tuples_collected << '\n';
     rec << "seen " << pending_seen_.size();
@@ -131,11 +132,21 @@ Status FrontierLogWriter::Commit(const CrawlState& state) {
     for (size_t i = keep; i < frontier.size(); ++i) {
       rec << frontier[i] << '\n';
     }
-    rec << "commit " << seq_ << '\n';
-    HDC_RETURN_IF_ERROR(AppendDurably(rec.str()));
-    last_queries_ = state.queries_issued;
-    last_collected_ = state.tuples_collected;
-    last_frontier_ = std::move(frontier);
+    rec << "commit " << seq << '\n';
+    written = AppendDurably(rec.str());
+    if (written.ok()) {
+      seq_ = seq;
+      last_queries_ = state.queries_issued;
+      last_collected_ = state.tuples_collected;
+      last_frontier_ = std::move(frontier);
+    }
+  }
+  if (!written.ok()) {
+    // A failed write or fsync leaves the file's tail unknown (a short
+    // record, or a whole one that may or may not be durable). Never append
+    // after it: the next commit starts a fresh snapshot segment.
+    have_snapshot_ = false;
+    return written;
   }
   pending_seen_.clear();
   pending_tuples_.clear();

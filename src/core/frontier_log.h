@@ -21,7 +21,9 @@
 // rename), so the log is never in a torn state at a segment boundary.
 // Replay is LoadCheckpointFile: a trailing record without its matching
 // `commit <seq>` line is a torn tail from the crash and is discarded
-// silently; everything up to the last commit is applied.
+// silently; everything up to the last commit is applied. A commit whose
+// write or fsync failed is never built on: the writer cannot know what
+// reached the disk, so its next commit replaces the file with a snapshot.
 //
 // Billing guarantee: CrawlContext commits at the *top* of each round —
 // commit N captures the state produced by rounds 1..N-1 and happens-before
@@ -91,7 +93,9 @@ class FrontierLogWriter {
   /// Durably commits the state as of a round boundary. No-op commits
   /// (nothing changed since the last one) are skipped without touching the
   /// disk or firing on_commit. Skips (returns OK) when the state carries a
-  /// fatal error — a failed crawl is not a resume point.
+  /// fatal error — a failed crawl is not a resume point. After a failed
+  /// commit the file's tail is unknown, so the next commit rewrites the log
+  /// as a fresh snapshot instead of appending to it.
   Status Commit(const CrawlState& state);
 
   const std::string& path() const { return path_; }

@@ -7,7 +7,9 @@
 #include "core/frontier_log.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -135,6 +137,76 @@ TEST(FrontierLogTest, TornTailIsDiscardedAtEveryByteOffset) {
   EXPECT_EQ(final_state->queries_issued, full.queries_issued);
   EXPECT_TRUE(final_state->Finished());
   EXPECT_TRUE(Dataset::MultisetEquals(final_state->extracted, data));
+}
+
+/// Caps the size of any file this process writes, with SIGXFSZ ignored so
+/// a write past the cap fails with EFBIG instead of killing the process.
+/// The destructor restores the previous limit and handler.
+class FileSizeCap {
+ public:
+  FileSizeCap() {
+    HDC_CHECK(::getrlimit(RLIMIT_FSIZE, &saved_) == 0);
+    previous_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+  }
+  ~FileSizeCap() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+  void Lower(rlim_t bytes) {
+    rlimit capped = saved_;
+    capped.rlim_cur = bytes;
+    HDC_CHECK(::setrlimit(RLIMIT_FSIZE, &capped) == 0);
+  }
+  void Restore() { HDC_CHECK(::setrlimit(RLIMIT_FSIZE, &saved_) == 0); }
+
+ private:
+  rlimit saved_{};
+  void (*previous_handler_)(int) = SIG_DFL;
+};
+
+TEST(FrontierLogTest, FailedAppendIsNeverBuiltOn) {
+  Dataset data = MakeData(66);
+  auto shared = std::make_shared<Dataset>(data);
+  const uint64_t k = std::max<uint64_t>(8, data.MaxPointMultiplicity());
+  LocalServer ref_server(shared, k);
+  HybridCrawler ref_crawler;
+  CrawlResult reference = ref_crawler.Crawl(&ref_server);
+  ASSERT_TRUE(reference.status.ok());
+
+  for (const rlim_t cut : {1u, 7u, 40u, 200u}) {
+    SCOPED_TRACE("append cut " + std::to_string(cut) + " bytes in");
+    const std::string path = ::testing::TempDir() + "/hdc_flog_cut.log";
+    std::remove(path.c_str());
+    FileSizeCap cap;
+    FrontierLogOptions log_options;
+    log_options.sync = false;
+    // After commit 3 the file may grow only `cut` more bytes: the next
+    // append is cut short and fails.
+    log_options.on_commit = [&cap, &path, cut](uint64_t seq) {
+      if (seq == 3) cap.Lower(static_cast<rlim_t>(FileSize(path)) + cut);
+    };
+    std::unique_ptr<FrontierLogWriter> log;
+    ASSERT_TRUE(FrontierLogWriter::Open(path, log_options, &log).ok());
+    LocalServer server(shared, k);
+    HybridCrawler crawler;
+    CrawlOptions options;
+    options.frontier_log = log.get();
+    CrawlResult partial = crawler.Crawl(&server, options);
+    cap.Restore();
+    ASSERT_FALSE(partial.status.ok());
+    ASSERT_NE(partial.resume_state, nullptr);
+
+    // Resume with the same writer: it must not append after the cut bytes.
+    CrawlResult done = crawler.Resume(&server, partial.resume_state, options);
+    ASSERT_TRUE(done.status.ok()) << done.status.ToString();
+    EXPECT_EQ(done.queries_issued, reference.queries_issued);
+
+    std::shared_ptr<CrawlState> replayed;
+    ASSERT_TRUE(LoadCheckpointFile(path, data.schema(), &replayed).ok());
+    EXPECT_TRUE(replayed->Finished());
+    EXPECT_EQ(replayed->queries_issued, reference.queries_issued);
+    EXPECT_TRUE(Dataset::MultisetEquals(replayed->extracted, data));
+  }
 }
 
 TEST(FrontierLogTest, RotationResnapshotsAndStaysReplayable) {
