@@ -1,12 +1,8 @@
 // Copyright (c) hdc authors. Apache-2.0 license.
 #include "core/binary_shrink.h"
 
-#include <ostream>
-
-#include "core/checkpoint.h"
 #include "core/crawl_context.h"
-#include "core/crawl_plan.h"
-#include "util/macros.h"
+#include "core/frontier.h"
 
 namespace hdc {
 
@@ -26,78 +22,40 @@ Status BinaryShrink::ValidateSchema(const Schema& schema) const {
   return Status::OK();
 }
 
+namespace {
+
+/// Binary-shrink's split: halve the first free attribute at its midpoint.
+class BinaryShrinkRules : public FrontierRules {
+ public:
+  using FrontierRules::FrontierRules;
+
+  bool Expand(const FrontierItem& item, const Response&) override {
+    auto attr = item.q.FirstNonPinnedAttribute();
+    if (!attr.has_value()) return Unsolvable(ctx_, item.q);
+    const AttrInterval& ext = item.q.extent(*attr);
+    // Midpoint split: x = ceil((lo + hi) / 2); lo < x <= hi always holds
+    // for a non-pinned extent, so both halves are non-empty.
+    const Value x = ext.lo + (ext.hi - ext.lo + 1) / 2;
+    TwoWaySplitResult halves = TwoWaySplit(item.q, *attr, x);
+    frontier_->push_back(
+        FrontierItem{FrontierItem::Kind::kRank, std::move(halves.right), 0});
+    frontier_->push_back(
+        FrontierItem{FrontierItem::Kind::kRank, std::move(halves.left), 0});
+    return true;
+  }
+};
+
+}  // namespace
+
 std::shared_ptr<CrawlState> BinaryShrink::MakeInitialState(
     HiddenDbServer* server, const CrawlOptions& options) const {
-  auto state = std::make_shared<BinaryShrinkState>(server->schema());
-  state->frontier.push_back(options.plan != nullptr
-                                ? options.plan->root()
-                                : Query::FullSpace(server->schema()));
-  return state;
+  return MakeSeededState(server->schema(), name(),
+                         FrontierItem::Kind::kRank, options);
 }
 
 void BinaryShrink::Run(CrawlContext* ctx, CrawlState* state) const {
-  auto* st = static_cast<BinaryShrinkState*>(state);
-  std::vector<Query> round;
-  std::vector<Response> responses;
-  while (!st->frontier.empty()) {
-    // Sibling rectangles on the frontier are independent: drain up to
-    // `batch` of them into one server round trip.
-    const size_t batch = ctx->RoundSize(st->frontier.size());
-    round.clear();
-    while (!st->frontier.empty() && round.size() < batch) {
-      round.push_back(std::move(st->frontier.back()));
-      st->frontier.pop_back();
-    }
-    const std::vector<CrawlContext::Outcome> outcomes =
-        ctx->IssueBatch(round, &responses);
-
-    for (size_t i = 0; i < round.size(); ++i) {
-      switch (outcomes[i]) {
-        case CrawlContext::Outcome::kStop:
-          // Unanswered members go back in reverse so the stack order is
-          // exactly as if they had never been popped.
-          for (size_t j = round.size(); j-- > i;) {
-            st->frontier.push_back(std::move(round[j]));
-          }
-          return;
-        case CrawlContext::Outcome::kPrunedEmpty:
-          continue;
-        case CrawlContext::Outcome::kResolved:
-          ctx->CollectResponse(responses[i]);
-          continue;
-        case CrawlContext::Outcome::kOverflow:
-          break;
-      }
-
-      const Query& q = round[i];
-      auto attr = q.FirstNonPinnedAttribute();
-      if (!attr.has_value()) {
-        ctx->SetFatal(Status::Unsolvable("point " + q.ToString() +
-                                         " holds more than k tuples"));
-        return;
-      }
-      const AttrInterval& ext = q.extent(*attr);
-      // Midpoint split: x = ceil((lo + hi) / 2); lo < x <= hi always holds
-      // for a non-pinned extent, so both halves are non-empty.
-      const Value x = ext.lo + (ext.hi - ext.lo + 1) / 2;
-      TwoWaySplitResult halves = TwoWaySplit(q, *attr, x);
-      st->frontier.push_back(std::move(halves.right));
-      st->frontier.push_back(std::move(halves.left));
-    }
-  }
-}
-
-
-void BinaryShrinkState::EncodeFrontier(std::ostream* out) const {
-  for (const Query& q : frontier) {
-    *out << "q ";
-    EncodeQueryTokens(q, out);
-    *out << '\n';
-  }
-}
-
-Status BinaryShrinkState::DecodeFrontier(CheckpointReader* in) {
-  return DecodeQueryStackFrontier(in, extracted.schema(), &frontier);
+  BinaryShrinkRules rules(ctx, state);
+  RunFrontier(ctx, state, &rules);
 }
 
 }  // namespace hdc

@@ -7,24 +7,9 @@
 // weakness rank-shrink removes.
 #pragma once
 
-#include <vector>
-
 #include "core/crawler.h"
-#include "query/query.h"
 
 namespace hdc {
-
-class BinaryShrinkState : public CrawlState {
- public:
-  using CrawlState::CrawlState;
-  bool Finished() const override { return frontier.empty(); }
-  std::string algorithm() const override { return "binary-shrink"; }
-  void EncodeFrontier(std::ostream* out) const override;
-  Status DecodeFrontier(CheckpointReader* in) override;
-
-  /// LIFO stack of pending rectangles.
-  std::vector<Query> frontier;
-};
 
 class BinaryShrink : public Crawler {
  public:

@@ -11,9 +11,7 @@
 #include <sstream>
 #include <utility>
 
-#include "core/binary_shrink.h"
-#include "core/dfs_crawler.h"
-#include "core/rank_shrink.h"
+#include "core/frontier.h"
 #include "core/slice_engine.h"
 #include "data/csv_reader.h"
 #include "util/macros.h"
@@ -178,27 +176,6 @@ Status DecodeTupleTokens(std::istream* in, size_t arity, Tuple* out) {
   return Status::OK();
 }
 
-Status DecodeQueryStackFrontier(CheckpointReader* in, const SchemaPtr& schema,
-                                std::vector<Query>* frontier) {
-  frontier->clear();
-  std::string line;
-  while (true) {
-    HDC_RETURN_IF_ERROR(in->Next(&line));
-    if (line == "frontier-end") return Status::OK();
-    std::string rest;
-    if (Status s = ExpectTagged(line, "q", &rest); !s.ok()) {
-      return in->Error(s.message());
-    }
-    std::istringstream tokens(rest);
-    Query q = Query::FullSpace(schema);
-    if (Status s = DecodeQueryTokens(&tokens, schema, &q); !s.ok()) {
-      return in->Error(s.message());
-    }
-    frontier->push_back(std::move(q));
-  }
-}
-
-
 Status SaveCheckpoint(const CrawlState& state, const Schema& schema,
                       std::ostream* out, const SessionRecord* session) {
   if (out == nullptr) return Status::InvalidArgument("null output stream");
@@ -259,17 +236,17 @@ using Line = CheckpointReader::Line;
 Status MakeCrawlStateForAlgorithm(const std::string& algorithm,
                                   const SchemaPtr& schema,
                                   std::shared_ptr<CrawlState>* out) {
-  if (algorithm == "binary-shrink") {
-    *out = std::make_shared<BinaryShrinkState>(schema);
-  } else if (algorithm == "rank-shrink") {
-    *out = std::make_shared<RankShrinkState>(schema);
-  } else if (algorithm == "dfs") {
-    *out = std::make_shared<DfsState>(schema);
-  } else if (algorithm == "slice-cover" || algorithm == "lazy-slice-cover" ||
-             algorithm == "hybrid") {
+  if (algorithm == "slice-cover" || algorithm == "lazy-slice-cover" ||
+      algorithm == "hybrid") {
     // The eager flag is restored by DecodeFrontier.
     *out = std::make_shared<SliceEngineState>(schema, algorithm,
                                               /*eager=*/false);
+  } else if (algorithm == "binary-shrink" || algorithm == "rank-shrink" ||
+             algorithm == "dfs") {
+    *out = std::make_shared<CrawlState>(
+        schema, algorithm,
+        algorithm == "dfs" ? FrontierItem::Kind::kNode
+                           : FrontierItem::Kind::kRank);
   } else {
     return Status::InvalidArgument("unknown algorithm '" + algorithm + "'");
   }

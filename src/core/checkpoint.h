@@ -17,7 +17,15 @@
 //   <v1> <v2> ... one line per extracted tuple
 //   collected <cumulative count>   # tuples delivered, incl. non-materialized
 //   frontier-begin
-//   ...algorithm-specific lines (CrawlState::EncodeFrontier)...
+//   root <extents>                 # slice families only: the slice table
+//   catorder <attr>...             #   (core/slice_engine.h) and the eager
+//   eager <0|1>                    #   preprocessing cursor
+//   predone <0|1>
+//   precursor <position> <value>
+//   slice <position> <value> O     # an overflowing slice: one bit
+//   slice <position> <value> R <m> # a resolved slice and its m-tuple bag
+//   bag <row id> <v1> <v2> ...
+//   item <node|rank> <level> <extents>  # the frontier stack, bottom first
 //   frontier-end
 //   snapshot-end
 //   round <seq>                    # zero or more round records (logs only)
@@ -29,6 +37,14 @@
 //   frontier keep <K> add <M>      # keep the first K frontier lines,
 //   <M frontier lines>             # then append M new ones
 //   commit <seq>
+//
+// <extents> is the lo/hi pair of every attribute, in schema order. Every
+// family encodes its frontier as the same `item` lines (core/frontier.h):
+// binary- and rank-shrink stack rank items, DFS node items, the slice
+// families both. The decoder rejects an item its family could not have
+// produced: a kind it does not use, a node at level L whose first L
+// traversal-order attributes are not all pinned, a rank item at a nonzero
+// level, or (slice families) a rank item with a free categorical attribute.
 //
 // A checkpoint is a log with one snapshot and no rounds. The session record
 // (label escaped per util/string_escape.h, plus the remaining query budget)
@@ -62,8 +78,7 @@
 namespace hdc {
 
 /// Line reader that tracks 1-based line numbers so decode errors can name
-/// the exact line. Shared by the crawl-state reader and every per-algorithm
-/// frontier codec.
+/// the exact line. Shared by the crawl-state reader and the frontier codec.
 class CheckpointReader {
  public:
   /// A line together with its 1-based number in the file.
@@ -141,7 +156,7 @@ Status LoadCheckpoint(std::istream* in, SchemaPtr schema,
 Status LoadCheckpointFile(const std::string& path, SchemaPtr schema,
                           std::shared_ptr<CrawlState>* out);
 
-// --- helpers shared by the per-algorithm frontier codecs ---------------
+// --- token helpers shared with the frontier codec (core/frontier.h) ----
 
 /// Writes the 2d extent values of `q` as space-separated tokens (no
 /// newline).
@@ -156,11 +171,6 @@ void EncodeTupleTokens(const Tuple& t, std::ostream* out);
 
 /// Reads `arity` values from `in`.
 Status DecodeTupleTokens(std::istream* in, size_t arity, Tuple* out);
-
-/// Decodes a frontier section consisting of "q <extents>" lines followed by
-/// "frontier-end" — the codec shared by binary-shrink and rank-shrink.
-Status DecodeQueryStackFrontier(CheckpointReader* in, const SchemaPtr& schema,
-                                std::vector<Query>* frontier);
 
 /// Returns the rest of `line` after a "tag " prefix, or an error.
 Status ExpectTagged(const std::string& line, const std::string& tag,

@@ -41,8 +41,8 @@ class CrawlContext {
   /// boundary (or past a server failure) come back kStop and must be
   /// re-pushed by the caller. Any server failure (quota, outage) stops the
   /// run but keeps the crawl resumable — only SetFatal (e.g. Unsolvable)
-  /// ends a crawl for good. Trace entries and seen-row accounting are
-  /// appended in issue order.
+  /// ends a crawl for good. Seen-row accounting (and the frontier log's
+  /// seen-row delta) follows issue order.
   std::vector<Outcome> IssueBatch(const std::vector<Query>& queries,
                                   std::vector<Response>* responses);
 
@@ -56,7 +56,8 @@ class CrawlContext {
   /// (ServerLoadHint::latency_feedback) the cap is the adaptive limit fed
   /// back from observed round-trip latency and server queue wait.
   ///
-  /// Every crawler calls this at the top of its drain loop, when the
+  /// The frontier driver (core/frontier.h) and the slice engine's eager
+  /// preprocessing pass call this at the top of each round, when the
   /// previous round is fully applied and the state is self-consistent —
   /// which makes it the round *boundary*. When a frontier log is attached
   /// (CrawlOptions::frontier_log) this is where the durable delta commits:

@@ -19,6 +19,7 @@
 #include "core/batch_sizer.h"
 #include "core/dependency.h"
 #include "data/dataset.h"
+#include "query/query.h"
 #include "server/server.h"
 #include "util/status.h"
 
@@ -93,30 +94,52 @@ struct CrawlOptions {
   FrontierLogWriter* frontier_log = nullptr;
 };
 
+/// One unit of pending work: a rectangle and how it expands.
+struct FrontierItem {
+  enum class Kind : uint8_t {
+    /// A data-space-tree node (Section 3.1): `level` counts the categorical
+    /// attributes it pins, in the family's traversal order.
+    kNode,
+    /// A numeric rectangle, split by binary-shrink's or rank-shrink's rule;
+    /// `level` is 0.
+    kRank,
+  };
+  Kind kind;
+  Query q;
+  uint32_t level;
+};
+
 /// Mutable working memory of a crawl: the partial extraction plus the
-/// algorithm-specific frontier (subclasses add it). A state is created by
-/// Crawler::Crawl and can be fed back to Crawler::Resume.
+/// frontier, a LIFO stack of items that the one driver (RunFrontier,
+/// core/frontier.h) drains. A state is created by Crawler::Crawl and can be
+/// fed back to Crawler::Resume. The frontier codec (core/frontier.cc) is
+/// one line per item, bottom of the stack first:
+///   item <node|rank> <level> <2d extent values>
 class CrawlState {
  public:
-  explicit CrawlState(SchemaPtr schema) : extracted(std::move(schema)) {}
+  /// `algorithm` is the owning crawler's name; `kind` is the one item kind
+  /// a single-kind family uses (kRank for binary-/rank-shrink, kNode for
+  /// DFS, whose traversal order is the schema order).
+  CrawlState(SchemaPtr schema, std::string algorithm,
+             FrontierItem::Kind kind);
   virtual ~CrawlState() = default;
 
-  /// True when the frontier is empty — the extraction is complete.
-  virtual bool Finished() const = 0;
+  /// True when the extraction is complete.
+  virtual bool Finished() const { return frontier.empty(); }
 
   /// Algorithm tag, to guard against resuming a state with the wrong
   /// crawler.
-  virtual std::string algorithm() const = 0;
+  const std::string& algorithm() const { return algorithm_; }
 
-  /// Serializes the algorithm-specific frontier — everything between the
-  /// checkpoint format's frontier-begin/frontier-end markers (see
-  /// core/checkpoint.h).
-  virtual void EncodeFrontier(std::ostream* out) const = 0;
+  /// Serializes the frontier — everything between the checkpoint format's
+  /// frontier-begin/frontier-end markers (see core/checkpoint.h).
+  virtual void EncodeFrontier(std::ostream* out) const;
 
   /// Restores the frontier, consuming input lines up to and including the
   /// "frontier-end" marker. Errors are typed and name the offending line
-  /// (the reader tracks line numbers — core/checkpoint.h).
-  virtual Status DecodeFrontier(CheckpointReader* in) = 0;
+  /// (the reader tracks line numbers — core/checkpoint.h), also for an item
+  /// the family could not have produced (CheckItem).
+  virtual Status DecodeFrontier(CheckpointReader* in);
 
   Dataset extracted;
   std::unordered_set<uint64_t> seen_rows;
@@ -126,6 +149,19 @@ class CrawlState {
   /// off and tuples flow through the sink only).
   uint64_t tuples_collected = 0;
   Status fatal;  // e.g. Unsolvable; sticky
+  std::vector<FrontierItem> frontier;
+
+ protected:
+  /// Decodes one frontier line other than frontier-end (an item line here;
+  /// the slice engine also reads its slice-table lines).
+  virtual Status DecodeLine(CheckpointReader* in, const std::string& line);
+
+  /// Checks a decoded item against the family's invariants.
+  virtual Status CheckItem(const FrontierItem& item) const;
+
+ private:
+  std::string algorithm_;
+  FrontierItem::Kind kind_;
 };
 
 /// Outcome of one crawl (or resume) run.
@@ -185,9 +221,9 @@ class Crawler {
   virtual std::shared_ptr<CrawlState> MakeInitialState(
       HiddenDbServer* server, const CrawlOptions& options) const = 0;
 
-  /// Drains the frontier until done or the context says stop. Must be
-  /// re-entrant: popping work, issuing queries through the context, pushing
-  /// work back when interrupted mid-item.
+  /// Drains the frontier until done or the context says stop — every
+  /// family through the one driver, RunFrontier (core/frontier.h), which
+  /// pushes unanswered work back so the state stays resumable.
   virtual void Run(class CrawlContext* ctx, CrawlState* state) const = 0;
 
  private:

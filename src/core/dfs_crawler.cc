@@ -1,14 +1,7 @@
 // Copyright (c) hdc authors. Apache-2.0 license.
 #include "core/dfs_crawler.h"
 
-#include <ostream>
-#include <sstream>
-
-#include "core/checkpoint.h"
-
-#include "core/crawl_context.h"
-#include "core/crawl_plan.h"
-#include "util/macros.h"
+#include "core/frontier.h"
 
 namespace hdc {
 
@@ -20,111 +13,32 @@ Status DfsCrawler::ValidateSchema(const Schema& schema) const {
   return Status::OK();
 }
 
+namespace {
+
+/// DFS probes every node; an overflowing one expands one level further
+/// (a resolved node's subtree is covered by its response — the pruning
+/// rule).
+class DfsRules : public FrontierRules {
+ public:
+  using FrontierRules::FrontierRules;
+
+  bool Expand(const FrontierItem& item, const Response&) override {
+    return ExpandNode(ctx_, item, item.q.schema()->categorical_indices(),
+                      frontier_);
+  }
+};
+
+}  // namespace
+
 std::shared_ptr<CrawlState> DfsCrawler::MakeInitialState(
     HiddenDbServer* server, const CrawlOptions& options) const {
-  auto state = std::make_shared<DfsState>(server->schema());
-  state->frontier.push_back(
-      DfsState::Node{options.plan != nullptr
-                         ? options.plan->root()
-                         : Query::FullSpace(server->schema()),
-                     0});
-  return state;
+  return MakeSeededState(server->schema(), name(),
+                         FrontierItem::Kind::kNode, options);
 }
 
 void DfsCrawler::Run(CrawlContext* ctx, CrawlState* state) const {
-  auto* st = static_cast<DfsState*>(state);
-  const Schema& schema = *st->extracted.schema();
-  const uint32_t d = static_cast<uint32_t>(schema.num_attributes());
-
-  std::vector<DfsState::Node> round;
-  std::vector<Query> queries;
-  std::vector<Response> responses;
-  while (!st->frontier.empty()) {
-    // Tree nodes on the frontier cover disjoint regions — batch up to
-    // `batch` sibling probes per server round trip.
-    const size_t batch = ctx->RoundSize(st->frontier.size());
-    round.clear();
-    queries.clear();
-    while (!st->frontier.empty() && round.size() < batch) {
-      round.push_back(std::move(st->frontier.back()));
-      st->frontier.pop_back();
-      queries.push_back(round.back().q);
-    }
-    const std::vector<CrawlContext::Outcome> outcomes =
-        ctx->IssueBatch(queries, &responses);
-
-    for (size_t i = 0; i < round.size(); ++i) {
-      DfsState::Node& node = round[i];
-      switch (outcomes[i]) {
-        case CrawlContext::Outcome::kStop:
-          for (size_t j = round.size(); j-- > i;) {
-            st->frontier.push_back(std::move(round[j]));
-          }
-          return;
-        case CrawlContext::Outcome::kPrunedEmpty:
-          continue;
-        case CrawlContext::Outcome::kResolved:
-          // Pruning rule: the whole subtree of node is covered by this
-          // response.
-          ctx->CollectResponse(responses[i]);
-          continue;
-        case CrawlContext::Outcome::kOverflow:
-          break;
-      }
-
-      if (node.level == d) {
-        ctx->SetFatal(Status::Unsolvable("point " + node.q.ToString() +
-                                         " holds more than k tuples"));
-        return;
-      }
-      const size_t attr = node.level;
-      if (node.q.IsPinned(attr)) {
-        // A plan root may pre-pin expansion attributes; the node already
-        // covers exactly one value there, so descend without fanning out.
-        st->frontier.push_back(DfsState::Node{node.q, node.level + 1});
-        continue;
-      }
-      const Value domain = static_cast<Value>(schema.domain_size(attr));
-      // Push in descending value order so children pop in 1..U order.
-      for (Value c = domain; c >= 1; --c) {
-        st->frontier.push_back(
-            DfsState::Node{node.q.WithCategoricalEquals(attr, c),
-                           node.level + 1});
-      }
-    }
-  }
-}
-
-
-void DfsState::EncodeFrontier(std::ostream* out) const {
-  for (const Node& node : frontier) {
-    *out << "node " << node.level << ' ';
-    EncodeQueryTokens(node.q, out);
-    *out << '\n';
-  }
-}
-
-Status DfsState::DecodeFrontier(CheckpointReader* in) {
-  frontier.clear();
-  const SchemaPtr& schema = extracted.schema();
-  std::string line;
-  while (true) {
-    HDC_RETURN_IF_ERROR(in->Next(&line));
-    if (line == "frontier-end") return Status::OK();
-    std::istringstream tokens(line);
-    std::string tag;
-    uint32_t level = 0;
-    if (!(tokens >> tag >> level) || tag != "node") {
-      return in->Error("malformed dfs frontier line: " + line);
-    }
-    if (level > schema->num_attributes()) {
-      return in->Error("dfs level out of range");
-    }
-    Query q = Query::FullSpace(schema);
-    Status s = DecodeQueryTokens(&tokens, schema, &q);
-    if (!s.ok()) return in->Error(s.message());
-    frontier.push_back(Node{std::move(q), level});
-  }
+  DfsRules rules(ctx, state);
+  RunFrontier(ctx, state, &rules);
 }
 
 }  // namespace hdc

@@ -8,27 +8,9 @@
 // comparison baseline of Figure 11.
 #pragma once
 
-#include <vector>
-
 #include "core/crawler.h"
-#include "query/query.h"
 
 namespace hdc {
-
-class DfsState : public CrawlState {
- public:
-  using CrawlState::CrawlState;
-  bool Finished() const override { return frontier.empty(); }
-  std::string algorithm() const override { return "dfs"; }
-  void EncodeFrontier(std::ostream* out) const override;
-  Status DecodeFrontier(CheckpointReader* in) override;
-
-  struct Node {
-    Query q;
-    uint32_t level;  // number of pinned prefix attributes
-  };
-  std::vector<Node> frontier;
-};
 
 class DfsCrawler : public Crawler {
  public:

@@ -2,12 +2,9 @@
 #include "core/rank_shrink.h"
 
 #include <algorithm>
-#include <ostream>
 #include <cmath>
 
-#include "core/checkpoint.h"
 #include "core/crawl_context.h"
-#include "core/crawl_plan.h"
 #include "util/macros.h"
 
 namespace hdc {
@@ -59,13 +56,15 @@ std::optional<size_t> ChooseSplitAttribute(
   return best;
 }
 
-void RankShrinkExpand(const Query& q, size_t attr,
-                      const std::vector<ReturnedTuple>& returned, uint64_t k,
-                      const RankShrinkOptions& options,
-                      std::vector<Query>* frontier) {
-  HDC_CHECK(frontier != nullptr);
+bool RankShrinkRules::Expand(const FrontierItem& item,
+                             const Response& response) {
+  const Query& q = item.q;
+  const std::vector<ReturnedTuple>& returned = response.tuples;
+  auto split = ChooseSplitAttribute(q, returned, options_);
+  if (!split.has_value()) return Unsolvable(ctx_, q);
+  const size_t attr = *split;
+  const uint64_t k = ctx_->k();
   HDC_CHECK_MSG(!returned.empty(), "an overflowing response holds k tuples");
-  HDC_CHECK(q.schema()->IsNumeric(attr));
 
   std::vector<Value> values;
   values.reserve(returned.size());
@@ -75,7 +74,7 @@ void RankShrinkExpand(const Query& q, size_t attr,
   // o = the (k * rank_fraction)-th tuple in ascending order (k/2 in the
   // paper); x is its value, c its multiplicity within the response.
   size_t rank = static_cast<size_t>(
-      std::floor(static_cast<double>(k) * options.rank_fraction));
+      std::floor(static_cast<double>(k) * options_.rank_fraction));
   rank = std::clamp<size_t>(rank, 1, values.size());
   const Value x = values[rank - 1];
   const size_t c = static_cast<size_t>(
@@ -85,7 +84,11 @@ void RankShrinkExpand(const Query& q, size_t attr,
   const AttrInterval& ext = q.extent(attr);
   const bool few_duplicates =
       static_cast<double>(c) <=
-      static_cast<double>(k) * options.three_way_fraction;
+      static_cast<double>(k) * options_.three_way_fraction;
+  auto push = [this](Query child) {
+    frontier_->push_back(
+        FrontierItem{FrontierItem::Kind::kRank, std::move(child), 0});
+  };
 
   // Case 1 (c <= k/4): 2-way split at x; both halves receive >= k/4 of the
   // response. The paper shows x > lo always holds here (otherwise every
@@ -93,84 +96,29 @@ void RankShrinkExpand(const Query& q, size_t attr,
   // legal under ablated fractions too.
   if (few_duplicates && x > ext.lo) {
     TwoWaySplitResult halves = TwoWaySplit(q, attr, x);
-    frontier->push_back(std::move(halves.right));
-    frontier->push_back(std::move(halves.left));
-    return;
+    push(std::move(halves.right));
+    push(std::move(halves.left));
+    return true;
   }
 
   // Case 2: 3-way split; the middle slab [x, x] exhausts `attr` and becomes
   // a (d-1)-dimensional sub-problem (a resolvable point in 1-d).
   ThreeWaySplitResult parts = ThreeWaySplit(q, attr, x);
-  if (parts.right.has_value()) frontier->push_back(std::move(*parts.right));
-  frontier->push_back(std::move(parts.mid));
-  if (parts.left.has_value()) frontier->push_back(std::move(*parts.left));
+  if (parts.right.has_value()) push(std::move(*parts.right));
+  push(std::move(parts.mid));
+  if (parts.left.has_value()) push(std::move(*parts.left));
+  return true;
 }
 
 std::shared_ptr<CrawlState> RankShrink::MakeInitialState(
     HiddenDbServer* server, const CrawlOptions& options) const {
-  auto state = std::make_shared<RankShrinkState>(server->schema());
-  state->frontier.push_back(options.plan != nullptr
-                                ? options.plan->root()
-                                : Query::FullSpace(server->schema()));
-  return state;
+  return MakeSeededState(server->schema(), name(),
+                         FrontierItem::Kind::kRank, options);
 }
 
 void RankShrink::Run(CrawlContext* ctx, CrawlState* state) const {
-  auto* st = static_cast<RankShrinkState*>(state);
-  std::vector<Query> round;
-  std::vector<Response> responses;
-  while (!st->frontier.empty()) {
-    // Child rectangles of distinct splits are pairwise disjoint, so up to
-    // `batch` of them ride one server round trip.
-    const size_t batch = ctx->RoundSize(st->frontier.size());
-    round.clear();
-    while (!st->frontier.empty() && round.size() < batch) {
-      round.push_back(std::move(st->frontier.back()));
-      st->frontier.pop_back();
-    }
-    const std::vector<CrawlContext::Outcome> outcomes =
-        ctx->IssueBatch(round, &responses);
-
-    for (size_t i = 0; i < round.size(); ++i) {
-      switch (outcomes[i]) {
-        case CrawlContext::Outcome::kStop:
-          for (size_t j = round.size(); j-- > i;) {
-            st->frontier.push_back(std::move(round[j]));
-          }
-          return;
-        case CrawlContext::Outcome::kPrunedEmpty:
-          continue;
-        case CrawlContext::Outcome::kResolved:
-          ctx->CollectResponse(responses[i]);
-          continue;
-        case CrawlContext::Outcome::kOverflow:
-          break;
-      }
-
-      const Query& q = round[i];
-      auto attr = ChooseSplitAttribute(q, responses[i].tuples, options_);
-      if (!attr.has_value()) {
-        ctx->SetFatal(Status::Unsolvable("point " + q.ToString() +
-                                         " holds more than k tuples"));
-        return;
-      }
-      RankShrinkExpand(q, *attr, responses[i].tuples, ctx->k(), options_,
-                       &st->frontier);
-    }
-  }
-}
-
-
-void RankShrinkState::EncodeFrontier(std::ostream* out) const {
-  for (const Query& q : frontier) {
-    *out << "q ";
-    EncodeQueryTokens(q, out);
-    *out << '\n';
-  }
-}
-
-Status RankShrinkState::DecodeFrontier(CheckpointReader* in) {
-  return DecodeQueryStackFrontier(in, extracted.schema(), &frontier);
+  RankShrinkRules rules(ctx, state, options_);
+  RunFrontier(ctx, state, &rules);
 }
 
 }  // namespace hdc

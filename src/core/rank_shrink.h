@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/crawler.h"
+#include "core/frontier.h"
 #include "query/query.h"
 #include "server/response.h"
 
@@ -54,25 +55,21 @@ std::optional<size_t> ChooseSplitAttribute(
     const Query& q, const std::vector<ReturnedTuple>& returned,
     const RankShrinkOptions& options);
 
-/// Shared split step: given an *overflowing* response to `q` and the active
-/// (lowest-index non-exhausted) attribute, pushes the sub-queries of the
-/// 2-way or 3-way split onto `frontier` in LIFO order (so the space is swept
-/// in ascending value order). Also used by the hybrid crawler for the
-/// numeric sub-problems under each categorical point.
-void RankShrinkExpand(const Query& q, size_t attr,
-                      const std::vector<ReturnedTuple>& returned, uint64_t k,
-                      const RankShrinkOptions& options,
-                      std::vector<Query>* frontier);
-
-class RankShrinkState : public CrawlState {
+/// Rank-shrink's frontier rule, also the slice engine's rule for its rank
+/// items (the numeric sub-problem under each categorical point, Section
+/// 5): an overflowing rectangle splits on ChooseSplitAttribute, 2-way or
+/// 3-way, its children pushed in LIFO order (so the space is swept in
+/// ascending value order); one with no numeric attribute left is a point.
+class RankShrinkRules : public FrontierRules {
  public:
-  using CrawlState::CrawlState;
-  bool Finished() const override { return frontier.empty(); }
-  std::string algorithm() const override { return "rank-shrink"; }
-  void EncodeFrontier(std::ostream* out) const override;
-  Status DecodeFrontier(CheckpointReader* in) override;
+  RankShrinkRules(CrawlContext* ctx, CrawlState* state,
+                  const RankShrinkOptions& options)
+      : FrontierRules(ctx, state), options_(options) {}
 
-  std::vector<Query> frontier;
+  bool Expand(const FrontierItem& item, const Response& response) override;
+
+ private:
+  const RankShrinkOptions& options_;
 };
 
 class RankShrink : public Crawler {

@@ -52,6 +52,9 @@ enum class CategoricalOrder {
   kWidestFirst,     // descending domain size — the stress case
 };
 
+/// The extended-DFS frontier — kNode items are data-space-tree nodes over
+/// cat_order, kRank items rank-shrink rectangles under a fully-pinned
+/// categorical point — plus the slice table and the eager cursor.
 class SliceEngineState : public CrawlState {
  public:
   /// `algorithm` is the owning crawler's name ("slice-cover",
@@ -64,7 +67,8 @@ class SliceEngineState : public CrawlState {
   bool Finished() const override {
     return preprocessing_done && frontier.empty();
   }
-  std::string algorithm() const override { return algorithm_; }
+  /// The slice table and eager cursor lines (root, catorder, eager,
+  /// predone, precursor, slice/bag), then the item lines.
   void EncodeFrontier(std::ostream* out) const override;
   Status DecodeFrontier(CheckpointReader* in) override;
 
@@ -73,8 +77,8 @@ class SliceEngineState : public CrawlState {
   /// to it, so the engine never descends outside the satisfying subspace.
   Query root;
 
-  /// Categorical attribute indices in traversal order; tree level L pins
-  /// cat_order[0..L-1].
+  /// Categorical attribute indices in traversal order; a node at level L
+  /// pins cat_order[0..L-1].
   std::vector<size_t> cat_order;
 
   /// slices[p][v]: entry for the slice query pinning attribute
@@ -89,19 +93,10 @@ class SliceEngineState : public CrawlState {
   size_t pre_cat_pos = 0;
   Value pre_value = 1;
 
-  /// Work frontier of the extended-DFS. kNode items are data-space-tree
-  /// nodes (level = number of pinned categorical attributes); kRank items
-  /// are rank-shrink rectangles under a fully-pinned categorical point.
-  struct Item {
-    enum class Kind : uint8_t { kNode, kRank };
-    Kind kind;
-    Query q;
-    uint32_t level;
-  };
-  std::vector<Item> frontier;
-
- private:
-  std::string algorithm_;
+ protected:
+  Status DecodeLine(CheckpointReader* in, const std::string& line) override;
+  /// Nodes pin a prefix of cat_order; rank items pin every categorical.
+  Status CheckItem(const FrontierItem& item) const override;
 };
 
 struct SliceEngineOptions {

@@ -219,7 +219,8 @@ class SizerContextFixture : public ::testing::Test {
     options.max_parallelism = 2;
     server_ = std::make_unique<LocalServer>(data, /*k=*/4, nullptr, options);
     remote_ = std::make_unique<FakeLatencyServer>(server_.get(), &clock_);
-    state_ = std::make_shared<RankShrinkState>(schema);
+    state_ = std::make_shared<CrawlState>(
+        schema, "rank-shrink", FrontierItem::Kind::kRank);
   }
 
   std::vector<Query> Rounds(size_t n) {
@@ -235,7 +236,7 @@ class SizerContextFixture : public ::testing::Test {
   FakeClock clock_;
   std::unique_ptr<LocalServer> server_;
   std::unique_ptr<FakeLatencyServer> remote_;
-  std::shared_ptr<RankShrinkState> state_;
+  std::shared_ptr<CrawlState> state_;
 };
 
 TEST_F(SizerContextFixture, AutoRoundsFollowTheSizerAgainstLatencyFeedback) {

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+
+#include "core/frontier.h"
 
 #include "util/random.h"
 
@@ -104,24 +107,43 @@ TEST(CheckpointCodecTest, DecodeTupleRejectsShortInput) {
   EXPECT_FALSE(DecodeTupleTokens(&in, 3, &t).ok());
 }
 
-TEST(CheckpointCodecTest, QueryStackFrontierRejectsMissingTerminator) {
-  SchemaPtr schema = Schema::Numeric(1);
-  std::istringstream in("q 0 5\nq 6 9\n");  // no frontier-end
+TEST(CheckpointCodecTest, ItemFrontierRejectsMissingTerminator) {
+  CrawlState state(Schema::Numeric(1), "rank-shrink",
+                      FrontierItem::Kind::kRank);
+  std::istringstream in("item rank 0 0 5\nitem rank 0 6 9\n");
   CheckpointReader reader(&in);
-  std::vector<Query> frontier;
-  EXPECT_FALSE(DecodeQueryStackFrontier(&reader, schema, &frontier).ok());
+  EXPECT_FALSE(state.DecodeFrontier(&reader).ok());
 }
 
-TEST(CheckpointCodecTest, QueryStackFrontierParsesInOrder) {
-  SchemaPtr schema = Schema::Numeric(1);
-  std::istringstream in("q 0 5\nq 6 9\nfrontier-end\n");
+TEST(CheckpointCodecTest, ItemFrontierRoundTripsInStackOrder) {
+  CrawlState state(MixedSchema(), "hybrid", FrontierItem::Kind::kRank);
+  const std::string text =
+      "item rank 0 1 1 -100 100 1 3 -5 5\n"
+      "item rank 0 1 7 0 0 2 2 0 9\n";
+  std::istringstream in(text + "frontier-end\n");
   CheckpointReader reader(&in);
-  std::vector<Query> frontier;
-  ASSERT_TRUE(DecodeQueryStackFrontier(&reader, schema, &frontier).ok());
-  ASSERT_EQ(frontier.size(), 2u);
-  EXPECT_EQ(frontier[0].lo(0), 0);
-  EXPECT_EQ(frontier[0].hi(0), 5);
-  EXPECT_EQ(frontier[1].lo(0), 6);
+  ASSERT_TRUE(state.DecodeFrontier(&reader).ok());
+  ASSERT_EQ(state.frontier.size(), 2u);
+  EXPECT_EQ(state.frontier[0].q.lo(0), 1);
+  EXPECT_EQ(state.frontier[0].q.hi(3), 5);
+  EXPECT_TRUE(state.frontier[1].q.IsPinned(2));
+  std::ostringstream out;
+  state.EncodeFrontier(&out);
+  EXPECT_EQ(out.str(), text);
+}
+
+TEST(CheckpointCodecTest, ItemFrontierRejectsMalformedLines) {
+  const SchemaPtr schema = Schema::Numeric(1);
+  for (const std::string line :
+       {"q 0 5", "node 0 0 5", "item 0 5", "item leaf 0 0 5",
+        "item rank x 0 5", "item rank 0 5", "item rank 0 9 5"}) {
+    CrawlState state(schema, "rank-shrink", FrontierItem::Kind::kRank);
+    std::istringstream in(line + "\nfrontier-end\n");
+    CheckpointReader reader(&in);
+    const Status s = state.DecodeFrontier(&reader);
+    EXPECT_TRUE(s.IsInvalidArgument()) << line << ": " << s.ToString();
+    EXPECT_NE(s.message().find("line 1"), std::string::npos) << line;
+  }
 }
 
 }  // namespace

@@ -304,6 +304,99 @@ TEST(CheckpointDurabilityTest, HostileCountsFailTyped) {
 }
 
 // The file loader distinguishes "no checkpoint yet" from a corrupt one.
+// `text` with its frontier items replaced by `item`; returns the new text
+// and sets `*line` to the number of the item's line.
+std::string WithOnlyItem(const std::string& text, const std::string& item,
+                         uint64_t* line) {
+  std::istringstream in(text);
+  std::string out, current;
+  while (std::getline(in, current)) {
+    if (current.rfind("item ", 0) == 0) continue;
+    if (current == "frontier-end") {
+      *line = 1 + std::count(out.begin(), out.end(), '\n');
+      out += item + "\n";
+    }
+    out += current + "\n";
+  }
+  return out;
+}
+
+// A checkpoint of `crawler` interrupted after `budget` queries on `data`.
+std::string InterruptedCheckpoint(Crawler* crawler,
+                                  const std::shared_ptr<Dataset>& data,
+                                  uint64_t budget) {
+  LocalServer server(data,
+                     std::max<uint64_t>(8, data->MaxPointMultiplicity()));
+  CrawlOptions options;
+  options.max_queries = budget;
+  CrawlResult partial = crawler->Crawl(&server, options);
+  HDC_CHECK(partial.status.IsResourceExhausted());
+  std::ostringstream out;
+  HDC_CHECK(SaveCheckpoint(*partial.resume_state, *data->schema(), &out).ok());
+  return out.str();
+}
+
+// The one frontier decoder rejects, typed and naming the line, every item
+// the family's driver rules could not have produced — a state the crawl
+// could not resume without breaking an invariant (a rank item with a free
+// categorical attribute once aborted the process in Resume).
+TEST(CheckpointDurabilityTest, ItemsBreakingTheDriverInvariantsFailTyped) {
+  Fixture hybrid = MakeFixture(57, 12);
+  const SchemaPtr& mixed = hybrid.data->schema();
+  uint64_t line = 0;
+  for (const std::string bad : {
+           "item rank 0 1 4 1 5 0 0",      // rank, both categoricals free
+           "item rank 0 2 2 1 5 0 119",    // rank, C2 free
+           "item rank 1 2 2 3 3 0 119",    // rank at a nonzero level
+           "item node 1 1 4 1 5 0 119",    // level 1 leaves C1 free
+           "item node 2 3 3 1 5 0 119",    // level 2 leaves C2 free
+           "item node 3 3 3 2 2 0 119",    // level past the categoricals
+           "item leaf 0 1 4 1 5 0 119",    // unknown kind
+       }) {
+    SCOPED_TRACE(bad);
+    const std::string text = WithOnlyItem(hybrid.serialized, bad, &line);
+    ExpectFailsAtLine(text, mixed, line);
+  }
+  for (const std::string good :
+       {"item rank 0 3 3 2 2 0 119", "item node 2 3 3 2 2 0 119",
+        "item node 0 1 4 1 5 0 119"}) {
+    std::istringstream in(WithOnlyItem(hybrid.serialized, good, &line));
+    std::shared_ptr<CrawlState> restored;
+    EXPECT_TRUE(LoadCheckpoint(&in, mixed, &restored).ok()) << good;
+  }
+
+  // Single-kind families: a kind the family never uses, and the retired
+  // per-family grammars.
+  SyntheticNumericOptions numeric_gen;
+  numeric_gen.n = 200;
+  numeric_gen.value_range = 100;
+  auto numeric =
+      std::make_shared<Dataset>(GenerateSyntheticNumeric(numeric_gen));
+  RankShrink rank_shrink;
+  const std::string rank_checkpoint =
+      InterruptedCheckpoint(&rank_shrink, numeric, 6);
+  SyntheticCategoricalOptions categorical_gen;
+  categorical_gen.domain_sizes = {5, 6, 4};
+  categorical_gen.n = 450;
+  auto categorical = std::make_shared<Dataset>(
+      GenerateSyntheticCategorical(categorical_gen));
+  DfsCrawler dfs;
+  const std::string dfs_checkpoint =
+      InterruptedCheckpoint(&dfs, categorical, 10);
+  for (const std::string bad : {"item node 0 0 50 0 50", "q 0 50 0 50"}) {
+    SCOPED_TRACE(bad);
+    const std::string text = WithOnlyItem(rank_checkpoint, bad, &line);
+    ExpectFailsAtLine(text, numeric->schema(), line);
+  }
+  for (const std::string bad :
+       {"item rank 0 1 5 1 6 1 4", "item node 2 1 1 1 6 1 4",
+        "node 1 1 1 1 6 1 4"}) {
+    SCOPED_TRACE(bad);
+    const std::string text = WithOnlyItem(dfs_checkpoint, bad, &line);
+    ExpectFailsAtLine(text, categorical->schema(), line);
+  }
+}
+
 TEST(CheckpointDurabilityTest, MissingFileIsNotFound) {
   Fixture f = MakeFixture(54, 9);
   std::shared_ptr<CrawlState> restored;

@@ -36,13 +36,14 @@ class ContextFixture : public ::testing::Test {
     auto data = std::make_shared<Dataset>(schema);
     for (Value v = 0; v < 20; ++v) data->Add(Tuple({v * 5}));
     server_ = std::make_unique<LocalServer>(data, /*k=*/4);
-    state_ = std::make_shared<RankShrinkState>(schema);
+    state_ = std::make_shared<CrawlState>(
+        schema, "rank-shrink", FrontierItem::Kind::kRank);
   }
 
   Query Full() { return Query::FullSpace(server_->schema()); }
 
   std::unique_ptr<LocalServer> server_;
-  std::shared_ptr<RankShrinkState> state_;
+  std::shared_ptr<CrawlState> state_;
 };
 
 TEST_F(ContextFixture, BudgetBoundaryIsExact) {

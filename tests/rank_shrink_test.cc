@@ -186,7 +186,8 @@ TEST(RankShrinkTest, AblatedFractionsStillExact) {
 }
 
 TEST(RankShrinkTest, StateAlgorithmTag) {
-  RankShrinkState state(Schema::Numeric(1));
+  CrawlState state(Schema::Numeric(1), "rank-shrink",
+                      FrontierItem::Kind::kRank);
   EXPECT_EQ(state.algorithm(), "rank-shrink");
   EXPECT_TRUE(state.Finished());
 }
