@@ -31,7 +31,7 @@ class BinaryShrinkRules : public FrontierRules {
 
   bool Expand(const FrontierItem& item, const Response&) override {
     auto attr = item.q.FirstNonPinnedAttribute();
-    if (!attr.has_value()) return Unsolvable(ctx_, item.q);
+    if (!attr.has_value()) return Unsolvable(item.q);
     const AttrInterval& ext = item.q.extent(*attr);
     // Midpoint split: x = ceil((lo + hi) / 2); lo < x <= hi always holds
     // for a non-pinned extent, so both halves are non-empty.

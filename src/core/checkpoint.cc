@@ -11,7 +11,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/frontier.h"
 #include "core/slice_engine.h"
 #include "data/csv_reader.h"
 #include "util/macros.h"

@@ -18,12 +18,12 @@
 //   collected <cumulative count>   # tuples delivered, incl. non-materialized
 //   frontier-begin
 //   root <extents>                 # slice families only: the slice table
-//   catorder <attr>...             #   (core/slice_engine.h) and the eager
-//   eager <0|1>                    #   preprocessing cursor
+//   catorder <attr>...             # and eager cursor (core/slice_engine.h)
+//   eager <0|1>
 //   predone <0|1>
 //   precursor <position> <value>
-//   slice <position> <value> O     # an overflowing slice: one bit
-//   slice <position> <value> R <m> # a resolved slice and its m-tuple bag
+//   slice <position> <value> O     # overflowing: one bit
+//   slice <position> <value> R <m> # resolved: its m-tuple bag follows
 //   bag <row id> <v1> <v2> ...
 //   item <node|rank> <level> <extents>  # the frontier stack, bottom first
 //   frontier-end
@@ -39,12 +39,9 @@
 //   commit <seq>
 //
 // <extents> is the lo/hi pair of every attribute, in schema order. Every
-// family encodes its frontier as the same `item` lines (core/frontier.h):
-// binary- and rank-shrink stack rank items, DFS node items, the slice
-// families both. The decoder rejects an item its family could not have
-// produced: a kind it does not use, a node at level L whose first L
-// traversal-order attributes are not all pinned, a rank item at a nonzero
-// level, or (slice families) a rank item with a free categorical attribute.
+// family writes its frontier as `item` lines (core/frontier.h), and the
+// decoder rejects an item the family could not have produced (see
+// CrawlState::CheckItem, core/frontier.cc).
 //
 // A checkpoint is a log with one snapshot and no rounds. The session record
 // (label escaped per util/string_escape.h, plus the remaining query budget)

@@ -120,8 +120,10 @@ class CrawlState {
   /// `algorithm` is the owning crawler's name; `kind` is the one item kind
   /// a single-kind family uses (kRank for binary-/rank-shrink, kNode for
   /// DFS, whose traversal order is the schema order).
-  CrawlState(SchemaPtr schema, std::string algorithm,
-             FrontierItem::Kind kind);
+  CrawlState(SchemaPtr schema, std::string algorithm, FrontierItem::Kind kind)
+      : extracted(std::move(schema)),
+        algorithm_(std::move(algorithm)),
+        kind_(kind) {}
   virtual ~CrawlState() = default;
 
   /// True when the extraction is complete.
@@ -156,7 +158,10 @@ class CrawlState {
   /// the slice engine also reads its slice-table lines).
   virtual Status DecodeLine(CheckpointReader* in, const std::string& line);
 
-  /// Checks a decoded item against the family's invariants.
+  /// Checks a decoded item against what the family's rules can produce:
+  /// the kind it uses; a node at level L pins the first L attributes of
+  /// the traversal order; a rank item has level 0 (and, in the slice
+  /// engine, pins every categorical attribute).
   virtual Status CheckItem(const FrontierItem& item) const;
 
  private:

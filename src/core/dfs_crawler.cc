@@ -23,8 +23,7 @@ class DfsRules : public FrontierRules {
   using FrontierRules::FrontierRules;
 
   bool Expand(const FrontierItem& item, const Response&) override {
-    return ExpandNode(ctx_, item, item.q.schema()->categorical_indices(),
-                      frontier_);
+    return ExpandNode(item, item.q.schema()->categorical_indices());
   }
 };
 

@@ -17,12 +17,6 @@ const char* KindName(FrontierItem::Kind kind) {
 
 }  // namespace
 
-CrawlState::CrawlState(SchemaPtr schema, std::string algorithm,
-                       FrontierItem::Kind kind)
-    : extracted(std::move(schema)),
-      algorithm_(std::move(algorithm)),
-      kind_(kind) {}
-
 std::shared_ptr<CrawlState> MakeSeededState(const SchemaPtr& schema,
                                             const std::string& algorithm,
                                             FrontierItem::Kind kind,
@@ -55,16 +49,14 @@ Status CrawlState::DecodeFrontier(CheckpointReader* in) {
 }
 
 Status CrawlState::DecodeLine(CheckpointReader* in,
-                                 const std::string& line) {
+                              const std::string& line) {
   const SchemaPtr& schema = extracted.schema();
   std::istringstream tokens(line);
   std::string tag, kind;
   uint32_t level = 0;
-  if (!(tokens >> tag >> kind >> level) || tag != "item") {
+  if (!(tokens >> tag >> kind >> level) || tag != "item" ||
+      (kind != "node" && kind != "rank")) {
     return in->Error("malformed frontier line: " + line);
-  }
-  if (kind != "node" && kind != "rank") {
-    return in->Error("unknown item kind: " + line);
   }
   Query q = Query::FullSpace(schema);
   if (Status s = DecodeQueryTokens(&tokens, schema, &q); !s.ok()) {
@@ -167,27 +159,26 @@ void RunFrontier(CrawlContext* ctx, CrawlState* state, FrontierRules* rules) {
   }
 }
 
-bool Unsolvable(CrawlContext* ctx, const Query& point) {
-  ctx->SetFatal(Status::Unsolvable("point " + point.ToString() +
+bool FrontierRules::Unsolvable(const Query& point) {
+  ctx_->SetFatal(Status::Unsolvable("point " + point.ToString() +
                                    " holds more than k tuples"));
   return false;
 }
 
-bool ExpandNode(CrawlContext* ctx, const FrontierItem& node,
-                const std::vector<size_t>& order,
-                std::vector<FrontierItem>* frontier) {
-  if (node.level == order.size()) return Unsolvable(ctx, node.q);
+bool FrontierRules::ExpandNode(const FrontierItem& node,
+                               const std::vector<size_t>& order) {
+  if (node.level == order.size()) return Unsolvable(node.q);
   const size_t attr = order[node.level];
   if (node.q.IsPinned(attr)) {
-    frontier->push_back(
+    frontier_->push_back(
         FrontierItem{FrontierItem::Kind::kNode, node.q, node.level + 1});
     return true;
   }
   const Value domain = static_cast<Value>(node.q.schema()->domain_size(attr));
   for (Value c = domain; c >= 1; --c) {
-    frontier->push_back(FrontierItem{FrontierItem::Kind::kNode,
-                                     node.q.WithCategoricalEquals(attr, c),
-                                     node.level + 1});
+    frontier_->push_back(FrontierItem{FrontierItem::Kind::kNode,
+                                      node.q.WithCategoricalEquals(attr, c),
+                                      node.level + 1});
   }
   return true;
 }

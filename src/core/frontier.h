@@ -1,16 +1,12 @@
 // Copyright (c) hdc authors. Apache-2.0 license.
 //
 // The frontier driver shared by all six crawlers. Every algorithm of the
-// paper is a depth-first walk over rectangles (Sections 2.1, 2.2, 3.1, 3.2,
-// 5); the families differ only in how an overflowing rectangle splits:
-//   - binary-shrink: at the midpoint of a free attribute (Section 2.1);
-//   - rank-shrink: at a rank of the returned values (Section 2.2);
-//   - DFS and the slice engine: into one child per value of the next
-//     categorical attribute (Sections 3.1, 3.2) — ExpandNode below;
-//   - hybrid: both (Section 5).
-// The driver owns the round loop: it sizes the round, pops the frontier,
-// issues one server batch, re-pushes unanswered members and dispatches
-// answers. A family supplies only a FrontierRules.
+// paper is a depth-first walk over rectangles that differs only in how an
+// overflowing rectangle splits: at the midpoint (binary-shrink, Section
+// 2.1), at a rank of the returned values (rank-shrink, 2.2), into one child
+// per value of the next categorical attribute (DFS 3.1, slice-cover 3.2),
+// or both (hybrid, 5). RunFrontier owns the round loop; a family supplies
+// only its FrontierRules.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +63,17 @@ class FrontierRules {
   virtual bool Expand(const FrontierItem& item, const Response& response) = 0;
 
  protected:
+  /// Sets Unsolvable for a point rectangle that holds more than k tuples
+  /// (Section 1.1) and returns false.
+  bool Unsolvable(const Query& point);
+
+  /// The categorical expansion shared by DFS and the slice engine: the
+  /// node's next attribute `order[level]` either is pinned already (a plan
+  /// root may pin it; descend without fanning out) or fans out into one
+  /// child per domain value, pushed in descending order so they pop as
+  /// 1..U. A node with no attribute left is a point: Unsolvable.
+  bool ExpandNode(const FrontierItem& node, const std::vector<size_t>& order);
+
   CrawlContext* ctx_;
   std::vector<FrontierItem>* frontier_;
 };
@@ -76,19 +83,6 @@ class FrontierRules {
 /// one IssueBatch; unanswered members go back in reverse, so the stack is
 /// exactly as if they had never been popped.
 void RunFrontier(CrawlContext* ctx, CrawlState* state, FrontierRules* rules);
-
-/// Sets Unsolvable for a point rectangle that holds more than k tuples
-/// (Section 1.1) and returns false.
-bool Unsolvable(CrawlContext* ctx, const Query& point);
-
-/// The categorical expansion shared by DFS and the slice engine: the node's
-/// next attribute `order[level]` either is pinned already (a plan root may
-/// pin it; descend without fanning out) or fans out into one child per
-/// domain value, pushed in descending order so they pop as 1..U. A node
-/// with no attribute left is a point: Unsolvable.
-bool ExpandNode(CrawlContext* ctx, const FrontierItem& node,
-                const std::vector<size_t>& order,
-                std::vector<FrontierItem>* frontier);
 
 /// Checks a node's level against `order` (every attribute of
 /// order[0..level) pinned) and that a rank item has level 0.

@@ -61,7 +61,7 @@ bool RankShrinkRules::Expand(const FrontierItem& item,
   const Query& q = item.q;
   const std::vector<ReturnedTuple>& returned = response.tuples;
   auto split = ChooseSplitAttribute(q, returned, options_);
-  if (!split.has_value()) return Unsolvable(ctx_, q);
+  if (!split.has_value()) return Unsolvable(q);
   const size_t attr = *split;
   const uint64_t k = ctx_->k();
   HDC_CHECK_MSG(!returned.empty(), "an overflowing response holds k tuples");

@@ -165,7 +165,7 @@ class SliceRules : public RankShrinkRules {
     if (item->level == 0) {
       // The root query is never issued: enumerate its children directly
       // (their slice lookups decide everything the root's status could).
-      ExpandNode(ctx_, *item, st_->cat_order, frontier_);
+      ExpandNode(*item, st_->cat_order);
       return Step::kDone;
     }
 
@@ -205,7 +205,7 @@ class SliceRules : public RankShrinkRules {
     if (item->level == 1) {
       // The node query *is* the slice query, which overflowed — expand
       // without spending a query.
-      ExpandNode(ctx_, *item, st_->cat_order, frontier_);
+      ExpandNode(*item, st_->cat_order);
       return Step::kDone;
     }
     return Step::kProbe;
@@ -241,7 +241,7 @@ class SliceRules : public RankShrinkRules {
       // whole space when there is no categorical attribute).
       return RankShrinkRules::Expand(item, response);
     }
-    return ExpandNode(ctx_, item, st_->cat_order, frontier_);
+    return ExpandNode(item, st_->cat_order);
   }
 
  private:
