@@ -49,10 +49,12 @@ struct CrawlOptions {
   /// is adaptive instead: an AdaptiveBatchSizer grows/shrinks it from
   /// observed per-round round-trip latency and the server's queue-wait
   /// signal (see core/batch_sizer.h and `adaptive_batch` below). Any
-  /// setting never changes the query *count* of the six crawlers (each
-  /// work item is issued exactly once and split decisions depend only on
-  /// the item's own response), only the conversation order and, against a
-  /// parallel or remote server, the wall-clock time.
+  /// setting never changes the query *count* of the six crawlers (split
+  /// decisions depend only on an item's own response, and no rectangle is
+  /// asked twice — except in eager mode, which asks each overflowing slice
+  /// of a one-categorical schema again, at every setting alike), only the
+  /// conversation order and, against a parallel or remote server, the
+  /// wall-clock time.
   uint32_t batch_size = 1;
 
   /// Tuning of the latency-aware auto sizing; only consulted when

@@ -147,14 +147,16 @@ void RunFrontier(CrawlContext* ctx, CrawlState* state, FrontierRules* rules) {
         }
         return;
       }
+      bool ok = true;
       if (round[i].lookup) {
-        rules->Answered(std::move(round[i].item), outcomes[i], &responses[i]);
+        ok = rules->Answered(std::move(round[i].item), outcomes[i],
+                             &responses[i]);
       } else if (outcomes[i] == CrawlContext::Outcome::kResolved) {
         ctx->CollectResponse(responses[i]);
-      } else if (outcomes[i] == CrawlContext::Outcome::kOverflow &&
-                 !rules->Expand(round[i].item, responses[i])) {
-        return;
+      } else if (outcomes[i] == CrawlContext::Outcome::kOverflow) {
+        ok = rules->Expand(round[i].item, responses[i]);
       }
+      if (!ok) return;
     }
   }
 }

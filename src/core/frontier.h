@@ -54,9 +54,12 @@ class FrontierRules {
   virtual void Planned() {}
 
   /// Applies a lookup's answer (never kStop) to the item that waited on it.
-  virtual void Answered(FrontierItem /*item*/,
+  /// Returns false after CrawlContext::SetFatal.
+  virtual bool Answered(FrontierItem /*item*/,
                         CrawlContext::Outcome /*outcome*/,
-                        Response* /*response*/) {}
+                        Response* /*response*/) {
+    return true;
+  }
 
   /// Pushes the children of an item whose own rectangle overflowed.
   /// Returns false after CrawlContext::SetFatal (see Unsolvable).

@@ -227,12 +227,23 @@ class SliceRules : public RankShrinkRules {
     planned_.clear();
   }
 
-  void Answered(FrontierItem item, CrawlContext::Outcome outcome,
+  bool Answered(FrontierItem item, CrawlContext::Outcome outcome,
                 Response* response) override {
     const auto [pos, v] = SliceOf(item);
     RecordSlice(st_, pos, v, outcome, response);
+    if (outcome == CrawlContext::Outcome::kOverflow &&
+        item.level == st_->cat_order.size() && Lookup(item) == item.q) {
+      // The slice query was this very rectangle (one categorical
+      // attribute): expand its rank-shrink children from the overflowing
+      // answer in hand instead of asking it again. The answer is dropped
+      // right here, so the table still remembers only a bit.
+      item.kind = FrontierItem::Kind::kRank;
+      item.level = 0;
+      return RankShrinkRules::Expand(item, *response);
+    }
     // The node continues against the now-known slice next round.
     frontier_->push_back(std::move(item));
+    return true;
   }
 
   bool Expand(const FrontierItem& item, const Response& response) override {

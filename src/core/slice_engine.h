@@ -22,6 +22,10 @@
 // Eager mode issues all Sigma U_i slice queries up-front (slice-cover);
 // lazy mode issues each slice on first need and memoizes
 // (lazy-slice-cover), which never costs more (Section 3.2, "Heuristic").
+// When a lazy slice query is the node's own rectangle (one categorical
+// attribute) and overflows, rank-shrink starts from that answer at once
+// instead of asking it again; eager mode keeps only the bit and asks it
+// again.
 #pragma once
 
 #include <cstdint>

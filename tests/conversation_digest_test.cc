@@ -15,6 +15,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/crawl_plan.h"
@@ -222,6 +223,87 @@ TEST(ConversationDigestTest, EveryFamilyKeepsItsConversation) {
           << test_case.label << " @ " << Modes()[m].label << " ("
           << std::count(transcript.begin(), transcript.end(), '\n')
           << " queries)";
+    }
+  }
+}
+
+/// Runs `crawler` over `data` at `batch_size` and returns the number of
+/// times each rectangle was issued beyond its first, split into repeated
+/// slice queries and any other repeats.
+struct Repeats {
+  size_t slices = 0;
+  size_t others = 0;
+};
+Repeats CountRepeats(Crawler* crawler, const Dataset& data,
+                     uint32_t batch_size) {
+  auto shared = std::make_shared<Dataset>(data);
+  const uint64_t k = std::max<uint64_t>(8, data.MaxPointMultiplicity());
+  LocalServerOptions server_options;
+  server_options.max_parallelism = 4;
+  LocalServer base(shared, k, nullptr, server_options);
+  std::unordered_set<Query, QueryHasher> issued;
+  Repeats repeats;
+  ObservedServer observed(&base, [&](const Query& q, const Response&) {
+    if (issued.insert(q).second) return;
+    ++(q.AsSliceQuery().has_value() ? repeats.slices : repeats.others);
+  });
+  CrawlOptions options;
+  options.batch_size = batch_size;
+  const CrawlResult result = crawler->Crawl(&observed, options);
+  EXPECT_TRUE(result.status.ok()) << crawler->name() << ": "
+                                  << result.status.ToString();
+  EXPECT_TRUE(Dataset::MultisetEquals(result.extracted, data))
+      << crawler->name();
+  return repeats;
+}
+
+// No crawl asks the server the same rectangle twice: every answer a family
+// needs it already holds. One exception, by design: eager mode (slice-cover
+// and eager hybrid) answers every slice before any node runs and remembers
+// only a bit per overflowing slice, so on a one-categorical schema — where
+// an overflowing slice is itself a rank-shrink root — it asks that slice
+// again. Nothing else may repeat, eager or not.
+TEST(ConversationDigestTest, NoCrawlIssuesARectangleTwice) {
+  struct Space {
+    std::string label;
+    Dataset data;
+  };
+  const std::vector<Space> spaces = {
+      {"numeric (0 categorical)", Numeric(2, 400, 128, 31)},
+      {"categorical {6}", Categorical({6}, 40, 41)},
+      {"categorical {6, 5}", Categorical({6, 5}, 500, 33)},
+      {"categorical {5, 6, 4}", Categorical({5, 6, 4}, 600, 34)},
+      {"mixed {10} + 2 numeric", Mixed({10}, 2, 900, 42)},
+      {"mixed {3} + 1 numeric", Mixed({3}, 1, 400, 43)},
+      {"mixed {4, 5} + 1 numeric", Mixed({4, 5}, 1, 700, 35)},
+      {"mixed {3, 4, 3} + 2 numeric", Mixed({3, 4, 3}, 2, 900, 36)},
+  };
+  std::vector<std::unique_ptr<Crawler>> crawlers;
+  crawlers.push_back(std::make_unique<BinaryShrink>());
+  crawlers.push_back(std::make_unique<RankShrink>());
+  crawlers.push_back(std::make_unique<DfsCrawler>());
+  crawlers.push_back(std::make_unique<SliceCoverCrawler>(false));
+  crawlers.push_back(std::make_unique<SliceCoverCrawler>(true));
+  crawlers.push_back(std::make_unique<HybridCrawler>());
+  crawlers.push_back(EagerHybrid());
+  for (const Space& space : spaces) {
+    const Schema& schema = *space.data.schema();
+    for (const auto& crawler : crawlers) {
+      if (!crawler->ValidateSchema(schema).ok()) continue;
+      const bool eager =
+          crawler->name() == "slice-cover" ||
+          (crawler->name() == "hybrid" &&
+           !static_cast<const HybridCrawler&>(*crawler).options().lazy);
+      for (uint32_t batch_size : {1u, 4u, 0u}) {  // 0: auto
+        const Repeats repeats =
+            CountRepeats(crawler.get(), space.data, batch_size);
+        const std::string where = crawler->name() + " on " + space.label +
+                                  " @ batch " + std::to_string(batch_size);
+        EXPECT_EQ(repeats.others, 0u) << where;
+        if (!eager || schema.num_categorical() != 1) {
+          EXPECT_EQ(repeats.slices, 0u) << where;
+        }
+      }
     }
   }
 }

@@ -356,13 +356,12 @@ TEST(AuditLogTest, AuditLinesMatchGoldenTranscript) {
   EXPECT_EQ(log.str(),
             "1\tOVERFLOW\t2\tC=*, X in [0, 9]\n"
             "2\tOVERFLOW\t2\tC=1, X in [0, 9]\n"
-            "3\tOVERFLOW\t2\tC=1, X in [0, 9]\n"
-            "4\tresolved\t1\tC=1, X=0\n"
-            "5\tOVERFLOW\t2\tC=1, X in [1, 9]\n"
-            "6\tresolved\t0\tC=1, X in [1, 2]\n"
-            "7\tresolved\t1\tC=1, X=3\n"
-            "8\tresolved\t2\tC=1, X in [4, 9]\n"
-            "9\tresolved\t2\tC=2, X in [0, 9]\n");
+            "3\tresolved\t1\tC=1, X=0\n"
+            "4\tOVERFLOW\t2\tC=1, X in [1, 9]\n"
+            "5\tresolved\t0\tC=1, X in [1, 2]\n"
+            "6\tresolved\t1\tC=1, X=3\n"
+            "7\tresolved\t2\tC=1, X in [4, 9]\n"
+            "8\tresolved\t2\tC=2, X in [0, 9]\n");
 }
 
 TEST(ObservedServerTest, BatchCallbackFiresPerMemberInOrder) {
