@@ -195,8 +195,10 @@ void WriteLogSeed(const fs::path& dir, const std::string& name,
 }
 
 /// Seeds are Save* round-trips of mid-crawl states of every crawler family
-/// the three schemas admit, plus the two hostile counts that once aborted
-/// the process (a seen-row count and a slice-bag count of 2^62).
+/// the three schemas admit (eager slice-cover stopped inside its
+/// preprocessing pass), plus the two hostile counts that once aborted the
+/// process (a seen-row count and a slice-bag count of 2^62) and a
+/// rank-shrink checkpoint in the retired `q` frontier grammar.
 int Generate(const std::string& dir_arg) {
   const fs::path dir(dir_arg);
   fs::create_directories(dir);
@@ -215,6 +217,15 @@ int Generate(const std::string& dir_arg) {
   hdc::BinaryShrink binary_shrink;
   WriteSeed(dir, "checkpoint_binary_shrink",
             Checkpoint(*Interrupted(&binary_shrink, NumericData(), 6)));
+  hdc::SliceCoverCrawler lazy_slice_cover(/*lazy=*/true);
+  WriteSeed(dir, "checkpoint_lazy_slice_cover",
+            Checkpoint(*Interrupted(&lazy_slice_cover, CategoricalData(), 10)));
+  // Stopped inside the eager preprocessing pass (5 + 6 + 4 slice queries).
+  hdc::SliceCoverCrawler slice_cover(/*lazy=*/false);
+  const std::string preprocessing =
+      Checkpoint(*Interrupted(&slice_cover, CategoricalData(), 7));
+  HDC_CHECK(preprocessing.find("predone 0") != std::string::npos);
+  WriteSeed(dir, "checkpoint_slice_cover_preprocessing", preprocessing);
 
   hdc::CrawlService service(CategoricalData(), KFor(*CategoricalData()));
   for (const bool budgeted : {true, false}) {
@@ -235,12 +246,30 @@ int Generate(const std::string& dir_arg) {
 
   WriteLogSeed(dir, "log_hybrid", &hybrid, MixedData());
   WriteLogSeed(dir, "log_rank_shrink", &rank_shrink, NumericData());
+  WriteLogSeed(dir, "log_lazy_slice_cover", &lazy_slice_cover,
+               CategoricalData());
+  WriteLogSeed(dir, "log_slice_cover", &slice_cover, CategoricalData());
 
   WriteSeed(dir, "regression_seen_count",
             WithLineTail(hybrid_checkpoint, "\nseen ", huge + " 1 2 3"));
   HDC_CHECK(hybrid_checkpoint.find(" R ") != std::string::npos);
   WriteSeed(dir, "regression_bag_count",
             WithLineTail(hybrid_checkpoint, " R ", huge));
+
+  // The per-family frontier grammar the item lines replaced ("q <extents>"
+  // for binary- and rank-shrink) must fail typed, never load.
+  std::string q_grammar =
+      Checkpoint(*Interrupted(&rank_shrink, NumericData(), 6));
+  const std::string item = "\nitem rank 0 ";
+  for (size_t at = q_grammar.find(item); at != std::string::npos;
+       at = q_grammar.find(item, at)) {
+    q_grammar.replace(at, item.size(), "\nq ");
+  }
+  std::istringstream q_in(q_grammar);
+  std::shared_ptr<CrawlState> q_state;
+  HDC_CHECK(hdc::LoadCheckpoint(&q_in, NumericData()->schema(), &q_state)
+                .IsInvalidArgument());
+  WriteSeed(dir, "regression_q_grammar", q_grammar);
 
   std::cout << "crawl_state_fuzz: wrote seed corpus to " << dir << "\n";
   return 0;
