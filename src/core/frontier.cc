@@ -163,7 +163,7 @@ void RunFrontier(CrawlContext* ctx, CrawlState* state, FrontierRules* rules) {
 
 bool FrontierRules::Unsolvable(const Query& point) {
   ctx_->SetFatal(Status::Unsolvable("point " + point.ToString() +
-                                   " holds more than k tuples"));
+                                    " holds more than k tuples"));
   return false;
 }
 

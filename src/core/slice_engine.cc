@@ -234,9 +234,10 @@ class SliceRules : public RankShrinkRules {
     if (outcome == CrawlContext::Outcome::kOverflow &&
         item.level == st_->cat_order.size() && Lookup(item) == item.q) {
       // The slice query was this very rectangle (one categorical
-      // attribute): expand its rank-shrink children from the overflowing
-      // answer in hand instead of asking it again. The answer is dropped
-      // right here, so the table still remembers only a bit.
+      // attribute, or a plan root pinning the others): expand its
+      // rank-shrink children from the overflowing answer in hand instead of
+      // asking it again. The answer is dropped right here, so the table
+      // still remembers only a bit.
       item.kind = FrontierItem::Kind::kRank;
       item.level = 0;
       return RankShrinkRules::Expand(item, *response);

@@ -81,8 +81,8 @@ class SliceEngineState : public CrawlState {
   /// to it, so the engine never descends outside the satisfying subspace.
   Query root;
 
-  /// Categorical attribute indices in traversal order; a node at level L
-  /// pins cat_order[0..L-1].
+  /// Categorical attribute indices in traversal order; tree level L pins
+  /// cat_order[0..L-1].
   std::vector<size_t> cat_order;
 
   /// slices[p][v]: entry for the slice query pinning attribute
