@@ -124,11 +124,19 @@ Status WriteFileDurably(const std::string& path,
   return Status::OK();
 }
 
-void EncodeQueryTokens(const Query& q, std::ostream* out) {
+void AppendQueryTokens(const Query& q, std::string* out) {
   for (size_t i = 0; i < q.num_attributes(); ++i) {
-    if (i > 0) *out << ' ';
-    *out << q.lo(i) << ' ' << q.hi(i);
+    if (i > 0) *out += ' ';
+    AppendDecimal(q.lo(i), out);
+    *out += ' ';
+    AppendDecimal(q.hi(i), out);
   }
+}
+
+void EncodeQueryTokens(const Query& q, std::ostream* out) {
+  std::string tokens;
+  AppendQueryTokens(q, &tokens);
+  *out << tokens;
 }
 
 Status DecodeQueryTokens(std::istream* in, const SchemaPtr& schema,
@@ -159,11 +167,17 @@ Status DecodeQueryTokens(std::istream* in, const SchemaPtr& schema,
   return Status::OK();
 }
 
-void EncodeTupleTokens(const Tuple& t, std::ostream* out) {
+void AppendTupleTokens(const Tuple& t, std::string* out) {
   for (size_t i = 0; i < t.size(); ++i) {
-    if (i > 0) *out << ' ';
-    *out << t[i];
+    if (i > 0) *out += ' ';
+    AppendDecimal(t[i], out);
   }
+}
+
+void EncodeTupleTokens(const Tuple& t, std::ostream* out) {
+  std::string tokens;
+  AppendTupleTokens(t, &tokens);
+  *out << tokens;
 }
 
 Status DecodeTupleTokens(std::istream* in, size_t arity, Tuple* out) {
@@ -205,9 +219,12 @@ Status SaveCheckpoint(const CrawlState& state, const Schema& schema,
   *out << '\n';
 
   *out << "extracted " << state.extracted.size() << '\n';
+  std::string line;
   for (const Tuple& t : state.extracted.tuples()) {
-    EncodeTupleTokens(t, out);
-    *out << '\n';
+    line.clear();
+    AppendTupleTokens(t, &line);
+    line += '\n';
+    *out << line;
   }
   *out << "collected " << state.tuples_collected << '\n';
 

@@ -43,6 +43,11 @@
 // decoder rejects an item the family could not have produced (see
 // CrawlState::CheckItem, core/frontier.cc).
 //
+// The round-record grammar does not depend on how a writer computes K: a
+// writer that encodes only the changed frontier lines (core/frontier_log.h)
+// writes the same bytes as one that re-encodes and diffs the whole
+// frontier.
+//
 // A checkpoint is a log with one snapshot and no rounds. The session record
 // (label escaped per util/string_escape.h, plus the remaining query budget)
 // is written by core/session_checkpoint.h; the round records by
@@ -62,6 +67,7 @@
 // container: containers grow only as elements are actually read.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -155,6 +161,18 @@ Status LoadCheckpointFile(const std::string& path, SchemaPtr schema,
 
 // --- token helpers shared with the frontier codec (core/frontier.h) ----
 
+/// Appends the decimal digits of `v` to `out` (the digits a stream's
+/// operator<< writes, without a stream).
+template <typename Int>
+void AppendDecimal(Int v, std::string* out) {
+  char digits[24];
+  out->append(digits, std::to_chars(digits, digits + sizeof digits, v).ptr);
+}
+
+/// Appends the 2d extent values of `q` as space-separated tokens (no
+/// newline).
+void AppendQueryTokens(const Query& q, std::string* out);
+
 /// Writes the 2d extent values of `q` as space-separated tokens (no
 /// newline).
 void EncodeQueryTokens(const Query& q, std::ostream* out);
@@ -162,6 +180,9 @@ void EncodeQueryTokens(const Query& q, std::ostream* out);
 /// Reads 2d extent values from `in` into a query over `schema`.
 Status DecodeQueryTokens(std::istream* in, const SchemaPtr& schema,
                          Query* out);
+
+/// Appends one tuple's values as space-separated tokens (no newline).
+void AppendTupleTokens(const Tuple& t, std::string* out);
 
 /// Writes one tuple's values as space-separated tokens (no newline).
 void EncodeTupleTokens(const Tuple& t, std::ostream* out);

@@ -137,7 +137,29 @@ class CrawlState {
 
   /// Serializes the frontier — everything between the checkpoint format's
   /// frontier-begin/frontier-end markers (see core/checkpoint.h).
-  virtual void EncodeFrontier(std::ostream* out) const;
+  void EncodeFrontier(std::ostream* out) const;
+
+  /// Appends the frontier encoding to `out`: every line, or with
+  /// `changed_only` only the lines from the first one that may differ from
+  /// the encoding at the last MarkFrontierCommitted. Returns the index of
+  /// the first line appended. This is how the frontier log's commits cost
+  /// O(changes) (core/frontier_log.h).
+  virtual size_t AppendFrontier(bool changed_only, std::string* out) const;
+
+  /// The frontier-log commit the change marks count from (0: none). A
+  /// fresh or decoded state has none, so every line counts as changed.
+  uint64_t frontier_commit() const { return frontier_commit_; }
+
+  /// Records that the frontier, as it is now, is what commit `token`
+  /// wrote: clears the change marks. Called by the frontier log only.
+  virtual void MarkFrontierCommitted(uint64_t token) const;
+
+  /// Lowers the item floor to the stack size: items below it are unchanged
+  /// since the last commit. RunFrontier calls this after every pop; pushes
+  /// never touch lower items.
+  void NoteFrontierPop() {
+    if (frontier.size() < item_floor_) item_floor_ = frontier.size();
+  }
 
   /// Restores the frontier, consuming input lines up to and including the
   /// "frontier-end" marker. Errors are typed and name the offending line
@@ -166,9 +188,16 @@ class CrawlState {
   /// engine, pins every categorical attribute).
   virtual Status CheckItem(const FrontierItem& item) const;
 
+  /// Appends the item lines of frontier[from..].
+  void AppendItems(size_t from, std::string* out) const;
+
+  /// Stack size the frontier has not popped below since the last commit.
+  mutable size_t item_floor_ = 0;
+
  private:
   std::string algorithm_;
   FrontierItem::Kind kind_;
+  mutable uint64_t frontier_commit_ = 0;
 };
 
 /// Outcome of one crawl (or resume) run.

@@ -1,6 +1,7 @@
 // Copyright (c) hdc authors. Apache-2.0 license.
 #include "core/frontier.h"
 
+#include <algorithm>
 #include <ostream>
 #include <sstream>
 
@@ -31,14 +32,38 @@ std::shared_ptr<CrawlState> MakeSeededState(const SchemaPtr& schema,
 }
 
 void CrawlState::EncodeFrontier(std::ostream* out) const {
-  for (const FrontierItem& item : frontier) {
-    *out << "item " << KindName(item.kind) << ' ' << item.level << ' ';
-    EncodeQueryTokens(item.q, out);
-    *out << '\n';
+  std::string text;
+  AppendFrontier(/*changed_only=*/false, &text);
+  *out << text;
+}
+
+size_t CrawlState::AppendFrontier(bool changed_only, std::string* out) const {
+  const size_t first =
+      changed_only ? std::min(item_floor_, frontier.size()) : 0;
+  AppendItems(first, out);
+  return first;
+}
+
+void CrawlState::AppendItems(size_t from, std::string* out) const {
+  for (size_t i = from; i < frontier.size(); ++i) {
+    const FrontierItem& item = frontier[i];
+    *out += "item ";
+    *out += KindName(item.kind);
+    *out += ' ';
+    AppendDecimal(item.level, out);
+    *out += ' ';
+    AppendQueryTokens(item.q, out);
+    *out += '\n';
   }
 }
 
+void CrawlState::MarkFrontierCommitted(uint64_t token) const {
+  frontier_commit_ = token;
+  item_floor_ = frontier.size();
+}
+
 Status CrawlState::DecodeFrontier(CheckpointReader* in) {
+  frontier_commit_ = 0;
   frontier.clear();
   std::string line;
   while (true) {
@@ -117,6 +142,7 @@ void RunFrontier(CrawlContext* ctx, CrawlState* state, FrontierRules* rules) {
     while (!frontier.empty() && round.size() < batch) {
       FrontierItem item = std::move(frontier.back());
       frontier.pop_back();
+      state->NoteFrontierPop();
       switch (rules->Plan(&item)) {
         case FrontierRules::Step::kDone:
           continue;

@@ -4,6 +4,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <sstream>
 #include <utility>
 
@@ -13,23 +15,10 @@
 namespace hdc {
 namespace {
 
-std::vector<std::string> SplitLines(const std::string& text) {
-  std::vector<std::string> lines;
-  size_t start = 0;
-  while (start < text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    lines.push_back(text.substr(start, end - start));
-    start = end + 1;
-  }
-  return lines;
-}
-
-std::vector<std::string> EncodeFrontierLines(const CrawlState& state) {
-  std::ostringstream out;
-  state.EncodeFrontier(&out);
-  return SplitLines(out.str());
-}
+/// Every successful commit marks its state with a fresh token, unique in
+/// the process, so a writer trusts a state's change marks only when its own
+/// last commit set them.
+std::atomic<uint64_t> next_commit_token{1};
 
 }  // namespace
 
@@ -52,17 +41,32 @@ Status FrontierLogWriter::Open(const std::string& path,
 }
 
 void FrontierLogWriter::NoteSeen(uint64_t row_id) {
-  pending_seen_.push_back(row_id);
+  ++pending_seen_;
+  pending_seen_ids_ += ' ';
+  AppendDecimal(row_id, &pending_seen_ids_);
 }
 
 void FrontierLogWriter::NoteTuple(const Tuple& tuple) {
-  std::ostringstream line;
-  EncodeTupleTokens(tuple, &line);
-  pending_tuples_.push_back(line.str());
+  ++pending_tuples_;
+  AppendTupleTokens(tuple, &pending_tuple_lines_);
+  pending_tuple_lines_ += '\n';
 }
 
-Status FrontierLogWriter::WriteSnapshot(
-    const CrawlState& state, std::vector<std::string> frontier_lines) {
+void FrontierLogWriter::CacheFrontierFrom(size_t first,
+                                          const std::string& text) {
+  last_frontier_.resize(first < last_line_starts_.size()
+                            ? last_line_starts_[first]
+                            : last_frontier_.size());
+  last_line_starts_.resize(first);
+  for (size_t at = 0; at < text.size(); ++at) {
+    last_line_starts_.push_back(last_frontier_.size() + at);
+    at = text.find('\n', at);
+    if (at == std::string::npos) break;
+  }
+  last_frontier_ += text;
+}
+
+Status FrontierLogWriter::WriteSnapshot(const CrawlState& state) {
   std::ostringstream out;
   HDC_RETURN_IF_ERROR(
       SaveCheckpoint(state, *state.extracted.schema(), &out));
@@ -78,9 +82,9 @@ Status FrontierLogWriter::WriteSnapshot(
   bytes_ = contents.size();
   have_snapshot_ = true;
   ++seq_;
-  last_queries_ = state.queries_issued;
-  last_collected_ = state.tuples_collected;
-  last_frontier_ = std::move(frontier_lines);
+  changed_.clear();
+  state.AppendFrontier(/*changed_only=*/false, &changed_);
+  CacheFrontierFrom(0, changed_);
   return Status::OK();
 }
 
@@ -100,45 +104,79 @@ Status FrontierLogWriter::Commit(const CrawlState& state) {
   // A failed crawl is not a resume point; leave the last good commit.
   if (!state.fatal.ok()) return Status::OK();
 
-  std::vector<std::string> frontier = EncodeFrontierLines(state);
-  const bool dirty = !have_snapshot_ ||
-                     state.queries_issued != last_queries_ ||
-                     state.tuples_collected != last_collected_ ||
-                     !pending_seen_.empty() || !pending_tuples_.empty() ||
-                     frontier != last_frontier_;
-  if (!dirty) return Status::OK();
-
   Status written;
-  if (!have_snapshot_ || bytes_ >= options_.rotate_bytes) {
-    written = WriteSnapshot(state, std::move(frontier));
+  if (!have_snapshot_) {
+    written = WriteSnapshot(state);
   } else {
-    const uint64_t seq = seq_ + 1;
-    std::ostringstream rec;
-    rec << "round " << seq << '\n';
-    rec << "queries " << state.queries_issued << '\n';
-    rec << "collected " << state.tuples_collected << '\n';
-    rec << "seen " << pending_seen_.size();
-    for (uint64_t id : pending_seen_) rec << ' ' << id;
-    rec << '\n';
-    rec << "tuples " << pending_tuples_.size() << '\n';
-    for (const std::string& line : pending_tuples_) rec << line << '\n';
-    size_t keep = 0;
-    while (keep < frontier.size() && keep < last_frontier_.size() &&
-           frontier[keep] == last_frontier_[keep]) {
-      ++keep;
+    // Encode from the first line that may differ from the last commit's
+    // encoding: where the state's change marks say, when this writer's last
+    // commit set them; line 0 for any other state.
+    const bool marked = state.frontier_commit() == last_token_;
+    changed_.clear();
+    const size_t first = state.AppendFrontier(marked, &changed_);
+    HDC_CHECK(first <= last_line_starts_.size());
+    // Line-wise longest common prefix of the cached lines from `first` on
+    // and the new ones: equal bytes up to the mismatch, cut back to the
+    // last whole line.
+    const size_t cached_from = first < last_line_starts_.size()
+                                   ? last_line_starts_[first]
+                                   : last_frontier_.size();
+    const size_t span =
+        std::min(changed_.size(), last_frontier_.size() - cached_from);
+    const size_t same =
+        std::mismatch(changed_.begin(), changed_.begin() + span,
+                      last_frontier_.begin() + cached_from)
+            .first -
+        changed_.begin();
+    const size_t kept_bytes =
+        same == 0 ? 0 : changed_.rfind('\n', same - 1) + 1;
+    const size_t keep =
+        first + std::count(changed_.begin(), changed_.begin() + kept_bytes,
+                           '\n');
+    const size_t added = static_cast<size_t>(
+        std::count(changed_.begin() + kept_bytes, changed_.end(), '\n'));
+    const bool dirty = state.queries_issued != last_queries_ ||
+                       state.tuples_collected != last_collected_ ||
+                       pending_seen_ > 0 || pending_tuples_ > 0 ||
+                       added > 0 || keep != last_line_starts_.size();
+    if (!dirty) {
+      // The state encodes exactly as the last commit: nothing to write.
+      state.MarkFrontierCommitted(last_token_);
+      return Status::OK();
     }
-    rec << "frontier keep " << keep << " add " << (frontier.size() - keep)
-        << '\n';
-    for (size_t i = keep; i < frontier.size(); ++i) {
-      rec << frontier[i] << '\n';
-    }
-    rec << "commit " << seq << '\n';
-    written = AppendDurably(rec.str());
-    if (written.ok()) {
-      seq_ = seq;
-      last_queries_ = state.queries_issued;
-      last_collected_ = state.tuples_collected;
-      last_frontier_ = std::move(frontier);
+
+    if (bytes_ >= options_.rotate_bytes) {
+      written = WriteSnapshot(state);
+    } else {
+      const uint64_t seq = seq_ + 1;
+      record_.clear();
+      record_ += "round ";
+      AppendDecimal(seq, &record_);
+      record_ += "\nqueries ";
+      AppendDecimal(state.queries_issued, &record_);
+      record_ += "\ncollected ";
+      AppendDecimal(state.tuples_collected, &record_);
+      record_ += "\nseen ";
+      AppendDecimal(pending_seen_, &record_);
+      record_ += pending_seen_ids_;
+      record_ += "\ntuples ";
+      AppendDecimal(pending_tuples_, &record_);
+      record_ += '\n';
+      record_ += pending_tuple_lines_;
+      record_ += "frontier keep ";
+      AppendDecimal(keep, &record_);
+      record_ += " add ";
+      AppendDecimal(added, &record_);
+      record_ += '\n';
+      record_.append(changed_, kept_bytes);
+      record_ += "commit ";
+      AppendDecimal(seq, &record_);
+      record_ += '\n';
+      written = AppendDurably(record_);
+      if (written.ok()) {
+        seq_ = seq;
+        CacheFrontierFrom(first, changed_);
+      }
     }
   }
   if (!written.ok()) {
@@ -146,10 +184,17 @@ Status FrontierLogWriter::Commit(const CrawlState& state) {
     // record, or a whole one that may or may not be durable). Never append
     // after it: the next commit starts a fresh snapshot segment.
     have_snapshot_ = false;
+    last_token_ = 0;
     return written;
   }
-  pending_seen_.clear();
-  pending_tuples_.clear();
+  last_queries_ = state.queries_issued;
+  last_collected_ = state.tuples_collected;
+  last_token_ = next_commit_token.fetch_add(1);
+  state.MarkFrontierCommitted(last_token_);
+  pending_seen_ = 0;
+  pending_seen_ids_.clear();
+  pending_tuples_ = 0;
+  pending_tuple_lines_.clear();
   if (options_.on_commit) options_.on_commit(seq_);
   return Status::OK();
 }

@@ -12,8 +12,26 @@
 // snapshot followed by one round record per commit. The frontier delta in
 // a round record is a longest-common-prefix diff against the previously
 // committed frontier encoding: keep the first K lines, append M new ones.
-// Crawlers treat the frontier as a stack (pop from the back), so each round
-// touches only the tail and deltas stay small.
+//
+// Commit cost follows what changed, not the frontier's size. The state
+// keeps change marks since its last commit (CrawlState::AppendFrontier):
+// the lowest stack size RunFrontier popped down to and, in the slice
+// engine, the first slice entry set and whether the eager cursor moved.
+// The writer encodes only from the first line those marks name, compares
+// just those lines with its cached copy of the last encoding, and so finds
+// the same K as a full diff would. It trusts the marks only of the state
+// object its own last successful commit marked; any other state (a loaded
+// one, a second state on the same writer, any state after a failed commit)
+// is encoded from line 0. Tuples and seen ids are appended to the pending
+// record as they arrive.
+//
+// Items are the last frontier lines, so a round of a binary-shrink,
+// rank-shrink or DFS crawl re-emits only the items above the lowest popped
+// one. Slice-family records are not that small: the slice table and the
+// eager cursor come before the items, so a record re-emits every line
+// after the first slice entry set that round (every slice line while the
+// eager pass runs). Carrying slices and the cursor as their own delta
+// records needs a format change.
 //
 // Durability protocol: each commit is appended with a single write() and
 // (when FrontierLogOptions::sync) fsync'd before Commit() returns. The
@@ -106,9 +124,12 @@ class FrontierLogWriter {
  private:
   FrontierLogWriter(std::string path, FrontierLogOptions options);
 
-  Status WriteSnapshot(const CrawlState& state,
-                       std::vector<std::string> frontier_lines);
+  Status WriteSnapshot(const CrawlState& state);
   Status AppendDurably(const std::string& record);
+
+  /// Makes `text` (whole lines) the cached frontier encoding from line
+  /// `first` on.
+  void CacheFrontierFrom(size_t first, const std::string& text);
 
   std::string path_;
   FrontierLogOptions options_;
@@ -118,9 +139,21 @@ class FrontierLogWriter {
   bool have_snapshot_ = false;
   uint64_t last_queries_ = 0;
   uint64_t last_collected_ = 0;
-  std::vector<std::string> last_frontier_;
-  std::vector<uint64_t> pending_seen_;
-  std::vector<std::string> pending_tuples_;
+  /// The token the last successful commit marked its state with (see
+  /// CrawlState::MarkFrontierCommitted); 0 after a failed commit.
+  uint64_t last_token_ = 0;
+  /// The last commit's frontier encoding, and where each line starts in it.
+  std::string last_frontier_;
+  std::vector<size_t> last_line_starts_;
+  /// Deltas since the last commit, already in round-record form: " <id>"
+  /// per newly seen row, one line per collected tuple.
+  uint64_t pending_seen_ = 0;
+  std::string pending_seen_ids_;
+  uint64_t pending_tuples_ = 0;
+  std::string pending_tuple_lines_;
+  /// Scratch reused by every commit.
+  std::string changed_;
+  std::string record_;
 };
 
 }  // namespace hdc

@@ -22,11 +22,7 @@ std::shared_ptr<CrawlState> HybridCrawler::MakeInitialState(
 }
 
 void HybridCrawler::Run(CrawlContext* ctx, CrawlState* state) const {
-  SliceEngineOptions engine_options;
-  engine_options.eager = !options_.lazy;
-  engine_options.rank = options_.rank;
-  engine_options.order = options_.categorical_order;
-  SliceEngineRun(ctx, static_cast<SliceEngineState*>(state), engine_options);
+  SliceEngineRun(ctx, static_cast<SliceEngineState*>(state), options_.rank);
 }
 
 }  // namespace hdc

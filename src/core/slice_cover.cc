@@ -22,10 +22,8 @@ std::shared_ptr<CrawlState> SliceCoverCrawler::MakeInitialState(
 }
 
 void SliceCoverCrawler::Run(CrawlContext* ctx, CrawlState* state) const {
-  SliceEngineOptions options;
-  options.eager = !lazy_;
-  options.order = order_;
-  SliceEngineRun(ctx, static_cast<SliceEngineState*>(state), options);
+  SliceEngineRun(ctx, static_cast<SliceEngineState*>(state),
+                 RankShrinkOptions{});
 }
 
 }  // namespace hdc

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <ostream>
 #include <sstream>
 
 #include "core/checkpoint.h"
@@ -38,8 +37,9 @@ void RecordSlice(SliceEngineState* st, size_t cat_pos, Value v,
       entry.state = SliceEntry::State::kOverflow;
       break;
     case CrawlContext::Outcome::kStop:
-      break;  // entry stays unknown; the work item is re-pushed
+      return;  // entry stays unknown; the work item is re-pushed
   }
+  st->NoteSliceSet(cat_pos, v);
 }
 
 /// Eager preprocessing: issue every slice query of every categorical
@@ -84,6 +84,7 @@ bool RunPreprocessing(CrawlContext* ctx, SliceEngineState* st) {
       st->pre_cat_pos = cat.size();
       st->pre_value = 1;
       st->preprocessing_done = true;
+      st->NoteCursorMoved();
       return true;
     }
 
@@ -96,6 +97,7 @@ bool RunPreprocessing(CrawlContext* ctx, SliceEngineState* st) {
       // Advance the resume cursor past the answered slice.
       st->pre_cat_pos = planned[i].pos;
       st->pre_value = planned[i].value + 1;
+      st->NoteCursorMoved();
     }
   }
 }
@@ -272,44 +274,87 @@ class SliceRules : public RankShrinkRules {
 }  // namespace
 
 void SliceEngineRun(CrawlContext* ctx, SliceEngineState* st,
-                    const SliceEngineOptions& options) {
+                    const RankShrinkOptions& rank) {
   if (st->eager && !st->preprocessing_done) {
     if (!RunPreprocessing(ctx, st)) return;
   }
-  SliceRules rules(ctx, st, options.rank);
+  SliceRules rules(ctx, st, rank);
   RunFrontier(ctx, st, &rules);
 }
 
-void SliceEngineState::EncodeFrontier(std::ostream* out) const {
-  *out << "root ";
-  EncodeQueryTokens(root, out);
-  *out << '\n';
-  *out << "catorder";
-  for (size_t attr : cat_order) *out << ' ' << attr;
-  *out << '\n';
-  *out << "eager " << (eager ? 1 : 0) << '\n';
-  *out << "predone " << (preprocessing_done ? 1 : 0) << '\n';
-  *out << "precursor " << pre_cat_pos << ' ' << pre_value << '\n';
+size_t SliceEngineState::AppendFrontier(bool changed_only,
+                                        std::string* out) const {
+  // Lines 0-2 (root, catorder, eager) never change once the state exists,
+  // lines 3-4 (the cursor) change only in preprocessing. The slice table
+  // follows in (position, value) order, then the items. `first` stays
+  // kNone until the first line that may have changed.
+  constexpr size_t kNone = std::numeric_limits<size_t>::max();
+  size_t first = changed_only ? kNone : 0;
+  if (first == 0) {
+    *out += "root ";
+    AppendQueryTokens(root, out);
+    *out += "\ncatorder";
+    for (size_t attr : cat_order) {
+      *out += ' ';
+      AppendDecimal(attr, out);
+    }
+    *out += eager ? "\neager 1\n" : "\neager 0\n";
+  }
+  if (first == kNone && cursor_changed_) first = 3;
+  if (first != kNone) {
+    *out += preprocessing_done ? "predone 1\n" : "predone 0\n";
+    *out += "precursor ";
+    AppendDecimal(pre_cat_pos, out);
+    *out += ' ';
+    AppendDecimal(pre_value, out);
+    *out += '\n';
+  }
 
+  size_t line = 5;
   for (size_t pos = 0; pos < slices.size(); ++pos) {
     for (size_t v = 1; v < slices[pos].size(); ++v) {
       const SliceEntry& entry = slices[pos][v];
       if (entry.state == SliceEntry::State::kUnknown) continue;
-      if (entry.state == SliceEntry::State::kOverflow) {
-        *out << "slice " << pos << ' ' << v << " O\n";
-      } else {
-        *out << "slice " << pos << ' ' << v << " R " << entry.bag.size()
-             << '\n';
-        for (const ReturnedTuple& rt : entry.bag) {
-          *out << "bag " << rt.hidden_id << ' ';
-          EncodeTupleTokens(rt.tuple, out);
-          *out << '\n';
-        }
+      const bool resolved = entry.state == SliceEntry::State::kResolved;
+      if (first == kNone && std::make_pair(pos, v) >= slice_floor_) {
+        first = line;
+      }
+      line += resolved ? 1 + entry.bag.size() : 1;
+      if (first == kNone) continue;
+      *out += "slice ";
+      AppendDecimal(pos, out);
+      *out += ' ';
+      AppendDecimal(v, out);
+      if (!resolved) {
+        *out += " O\n";
+        continue;
+      }
+      *out += " R ";
+      AppendDecimal(entry.bag.size(), out);
+      *out += '\n';
+      for (const ReturnedTuple& rt : entry.bag) {
+        *out += "bag ";
+        AppendDecimal(rt.hidden_id, out);
+        *out += ' ';
+        AppendTupleTokens(rt.tuple, out);
+        *out += '\n';
       }
     }
   }
 
-  CrawlState::EncodeFrontier(out);
+  size_t from_item = 0;
+  if (first == kNone) {
+    from_item = std::min(item_floor_, frontier.size());
+    first = line + from_item;
+  }
+  AppendItems(from_item, out);
+  return first;
+}
+
+void SliceEngineState::MarkFrontierCommitted(uint64_t token) const {
+  slice_floor_ = {slices.size(), 0};
+  cursor_changed_ = false;
+  CrawlState::MarkFrontierCommitted(token);
 }
 
 Status SliceEngineState::DecodeFrontier(CheckpointReader* in) {

@@ -29,6 +29,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/crawler.h"
@@ -73,8 +75,17 @@ class SliceEngineState : public CrawlState {
   }
   /// The slice table and eager cursor lines (root, catorder, eager,
   /// predone, precursor, slice/bag), then the item lines.
-  void EncodeFrontier(std::ostream* out) const override;
+  size_t AppendFrontier(bool changed_only, std::string* out) const override;
+  void MarkFrontierCommitted(uint64_t token) const override;
   Status DecodeFrontier(CheckpointReader* in) override;
+
+  /// Change marks for the frontier log: slice entry (pos, v) was set, or
+  /// the eager cursor moved, since the last commit.
+  void NoteSliceSet(size_t pos, Value v) {
+    const std::pair<size_t, size_t> entry(pos, static_cast<size_t>(v));
+    if (entry < slice_floor_) slice_floor_ = entry;
+  }
+  void NoteCursorMoved() { cursor_changed_ = true; }
 
   /// The rectangle the crawl covers: the full space, or a plan's pushdown
   /// root (core/crawl_plan.h). Slice queries and the tree root are scoped
@@ -101,12 +112,12 @@ class SliceEngineState : public CrawlState {
   Status DecodeLine(CheckpointReader* in, const std::string& line) override;
   /// Nodes pin a prefix of cat_order; rank items pin every categorical.
   Status CheckItem(const FrontierItem& item) const override;
-};
 
-struct SliceEngineOptions {
-  bool eager = false;
-  RankShrinkOptions rank;
-  CategoricalOrder order = CategoricalOrder::kSchemaOrder;
+ private:
+  /// The first slice entry, as (position, value), set since the last
+  /// commit; (slices.size(), 0) when none was.
+  mutable std::pair<size_t, size_t> slice_floor_{0, 0};
+  mutable bool cursor_changed_ = true;
 };
 
 /// Resolves a CategoricalOrder into the concrete attribute-index order.
@@ -122,8 +133,9 @@ std::shared_ptr<SliceEngineState> MakeSliceEngineState(
     CategoricalOrder order = CategoricalOrder::kSchemaOrder,
     const Query* root = nullptr);
 
-/// Drains the state against the context until finished or stopped.
+/// Drains the state against the context until finished or stopped; rank
+/// items split by rank-shrink's rule under `rank`.
 void SliceEngineRun(CrawlContext* ctx, SliceEngineState* st,
-                    const SliceEngineOptions& options);
+                    const RankShrinkOptions& rank);
 
 }  // namespace hdc

@@ -12,6 +12,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 
 #include "core/checkpoint.h"
 #include "core/crawlers.h"
+#include "core/slice_engine.h"
 #include "gen/synthetic.h"
 #include "server/local_server.h"
 #include "util/macros.h"
@@ -296,6 +298,209 @@ TEST(FrontierLogTest, OnCommitFiresOncePerRoundInOrder) {
   ASSERT_EQ(seqs.size(), log->commits());
   for (size_t i = 1; i < seqs.size(); ++i) {
     EXPECT_EQ(seqs[i], seqs[i - 1] + 1);
+  }
+}
+
+/// The full frontier encoding of `state`.
+std::string FrontierText(const CrawlState& state) {
+  std::ostringstream out;
+  state.EncodeFrontier(&out);
+  return out.str();
+}
+
+/// Number of leading lines `a` and `b` have in common.
+size_t CommonLines(const std::string& a, const std::string& b) {
+  size_t lines = 0;
+  for (size_t i = 0; i < a.size() && i < b.size() && a[i] == b[i]; ++i) {
+    if (a[i] == '\n') ++lines;
+  }
+  return lines;
+}
+
+/// A family whose fresh state the test can hold, so that on_commit can
+/// compare the live state with what the log replays to.
+template <typename Family>
+class Exposed : public Family {
+ public:
+  using Family::Family;
+  using Family::MakeInitialState;
+};
+
+struct OracleCase {
+  std::string label;
+  std::shared_ptr<const Dataset> data;
+  /// A crawler of the family and its fresh state against `server`.
+  std::function<std::pair<std::unique_ptr<Crawler>,
+                          std::shared_ptr<CrawlState>>(HiddenDbServer*)>
+      start;
+};
+
+template <typename Family, typename... Args>
+auto Starter(Args... args) {
+  return [=](HiddenDbServer* server) {
+    auto crawler = std::make_unique<Exposed<Family>>(args...);
+    std::shared_ptr<CrawlState> state =
+        crawler->MakeInitialState(server, CrawlOptions{});
+    return std::make_pair(std::unique_ptr<Crawler>(std::move(crawler)),
+                          std::move(state));
+  };
+}
+
+std::vector<OracleCase> OracleCases() {
+  SyntheticNumericOptions num;
+  num.d = 2;
+  num.n = 150;
+  num.value_range = 100;
+  num.seed = 71;
+  SyntheticCategoricalOptions cat;
+  cat.domain_sizes = {5, 6, 4};
+  cat.n = 150;
+  cat.seed = 72;
+  SyntheticMixedOptions mix;
+  mix.domain_sizes = {4, 5};
+  mix.num_numeric = 1;
+  mix.n = 150;
+  mix.value_range = 100;
+  mix.seed = 73;
+  auto numeric = std::make_shared<const Dataset>(GenerateSyntheticNumeric(num));
+  auto categorical =
+      std::make_shared<const Dataset>(GenerateSyntheticCategorical(cat));
+  auto mixed = std::make_shared<const Dataset>(GenerateSyntheticMixed(mix));
+  HybridOptions eager_hybrid;
+  eager_hybrid.lazy = false;
+  return {
+      {"binary-shrink", numeric, Starter<BinaryShrink>()},
+      {"rank-shrink", numeric, Starter<RankShrink>()},
+      {"dfs", categorical, Starter<DfsCrawler>()},
+      {"slice-cover", categorical, Starter<SliceCoverCrawler>(false)},
+      {"lazy-slice-cover", categorical, Starter<SliceCoverCrawler>(true)},
+      {"hybrid", mixed, Starter<HybridCrawler>(HybridOptions{})},
+      {"eager hybrid", mixed, Starter<HybridCrawler>(eager_hybrid)},
+  };
+}
+
+// Every commit encodes only the frontier lines its state marked as changed
+// since the last one. The oracle is the full encoding: after each commit
+// the log replays to exactly the live state's frontier, and the record's
+// `keep` is the line-wise common prefix of the previous and current full
+// encodings. Every family, at batch 1, 4 and auto, uninterrupted and
+// stopped by a budget every 7 queries and resumed on the same writer (which
+// stops eager slice-cover inside its preprocessing pass, and rotates the
+// log every 8 KiB).
+TEST(FrontierLogTest, IncrementalCommitsMatchTheFullEncoding) {
+  const std::string path = ::testing::TempDir() + "/hdc_flog_oracle.log";
+  for (const OracleCase& test_case : OracleCases()) {
+    for (const uint32_t batch : {1u, 4u, 0u}) {
+      for (const uint64_t budget : {UINT64_MAX, uint64_t{7}}) {
+        SCOPED_TRACE(test_case.label + " batch " + std::to_string(batch) +
+                     " budget " + std::to_string(budget));
+        std::remove(path.c_str());
+        const uint64_t k =
+            std::max<uint64_t>(8, test_case.data->MaxPointMultiplicity());
+        LocalServerOptions server_options;
+        server_options.max_parallelism = 4;
+        LocalServer server(test_case.data, k, nullptr, server_options);
+        auto [crawler, state] = test_case.start(&server);
+
+        std::string previous;
+        size_t rounds_checked = 0;
+        FrontierLogOptions log_options;
+        log_options.sync = false;
+        if (budget != UINT64_MAX) log_options.rotate_bytes = 8 << 10;
+        log_options.on_commit = [&](uint64_t) {
+          std::shared_ptr<CrawlState> replayed;
+          ASSERT_TRUE(
+              LoadCheckpointFile(path, test_case.data->schema(), &replayed)
+                  .ok());
+          const std::string live = FrontierText(*state);
+          ASSERT_EQ(FrontierText(*replayed), live);
+          EXPECT_EQ(replayed->queries_issued, state->queries_issued);
+          EXPECT_EQ(replayed->tuples_collected, state->tuples_collected);
+          const std::string log = ReadWholeFile(path);
+          const size_t at = log.rfind("\nfrontier keep ");
+          if (at != std::string::npos &&
+              log.find("snapshot-end", at) == std::string::npos) {
+            size_t keep = 0, add = 0;
+            std::istringstream record(log.substr(at + 15));
+            ASSERT_TRUE(record >> keep);
+            std::string word;
+            ASSERT_TRUE(record >> word >> add);
+            EXPECT_EQ(keep, CommonLines(previous, live));
+            EXPECT_EQ(keep + add,
+                      static_cast<size_t>(
+                          std::count(live.begin(), live.end(), '\n')));
+            ++rounds_checked;
+          }
+          previous = live;
+        };
+        std::unique_ptr<FrontierLogWriter> log;
+        ASSERT_TRUE(FrontierLogWriter::Open(path, log_options, &log).ok());
+        CrawlOptions options;
+        options.batch_size = batch;
+        options.max_queries = budget;
+        options.frontier_log = log.get();
+
+        bool stopped_in_preprocessing = false;
+        CrawlResult result = crawler->Resume(&server, state, options);
+        while (result.status.IsResourceExhausted()) {
+          ASSERT_EQ(result.resume_state, state);
+          if (auto* slice = dynamic_cast<SliceEngineState*>(state.get())) {
+            stopped_in_preprocessing |= !slice->preprocessing_done;
+          }
+          result = crawler->Resume(&server, state, options);
+        }
+        ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+        EXPECT_TRUE(Dataset::MultisetEquals(result.extracted,
+                                            *test_case.data));
+        EXPECT_GT(rounds_checked, 2u);
+        if (test_case.label == "slice-cover" && budget != UINT64_MAX) {
+          EXPECT_TRUE(stopped_in_preprocessing);
+        }
+      }
+    }
+  }
+}
+
+// The writer trusts a state's change marks only when its own last
+// successful commit set them. Committing a different state B after A
+// encodes B from its first line, though B's marks (set by another writer)
+// claim nothing changed; committing A again does the same.
+TEST(FrontierLogTest, AForeignStateIsEncodedInFull) {
+  Dataset data = MakeData(67);
+  auto shared = std::make_shared<Dataset>(data);
+  const uint64_t k = std::max<uint64_t>(8, data.MaxPointMultiplicity());
+  const std::string path = ::testing::TempDir() + "/hdc_flog_foreign.log";
+  const std::string other = ::testing::TempDir() + "/hdc_flog_other.log";
+  std::remove(path.c_str());
+  std::remove(other.c_str());
+  FrontierLogOptions log_options;
+  log_options.sync = false;
+
+  auto crawl = [&](const std::string& log_path, uint64_t budget,
+                   std::unique_ptr<FrontierLogWriter>* log) {
+    EXPECT_TRUE(FrontierLogWriter::Open(log_path, log_options, log).ok());
+    LocalServer server(shared, k);
+    HybridCrawler crawler;
+    CrawlOptions options;
+    options.max_queries = budget;
+    options.frontier_log = log->get();
+    CrawlResult partial = crawler.Crawl(&server, options);
+    EXPECT_TRUE(partial.status.IsResourceExhausted());
+    return partial.resume_state;
+  };
+  std::unique_ptr<FrontierLogWriter> log, other_log;
+  std::shared_ptr<CrawlState> a = crawl(path, 10, &log);
+  std::shared_ptr<CrawlState> b = crawl(other, 30, &other_log);
+  ASSERT_NE(FrontierText(*a), FrontierText(*b));
+
+  for (const std::shared_ptr<CrawlState>& state : {b, a, b}) {
+    const uint64_t commits = log->commits();
+    ASSERT_TRUE(log->Commit(*state).ok());
+    EXPECT_EQ(log->commits(), commits + 1);
+    std::shared_ptr<CrawlState> replayed;
+    ASSERT_TRUE(LoadCheckpointFile(path, data.schema(), &replayed).ok());
+    EXPECT_EQ(FrontierText(*replayed), FrontierText(*state));
+    EXPECT_EQ(replayed->queries_issued, state->queries_issued);
   }
 }
 
