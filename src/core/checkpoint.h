@@ -18,14 +18,13 @@
 //   collected <cumulative count>   # tuples delivered, incl. non-materialized
 //   frontier-begin
 //   root <extents>                 # slice families only: the slice table
-//   catorder <attr>...             # and eager cursor (core/slice_engine.h)
+//   catorder <attr>...             # (core/slice_engine.h)
 //   eager <0|1>
-//   predone <0|1>
-//   precursor <position> <value>
 //   slice <position> <value> O     # overflowing: one bit
 //   slice <position> <value> R <m> # resolved: its m-tuple bag follows
 //   bag <row id> <v1> <v2> ...
 //   item <node|rank> <level> <extents>  # the frontier stack, bottom first
+//   item slice <position> <extents>     # eager only: an unanswered lookup
 //   frontier-end
 //   snapshot-end
 //   round <seq>                    # zero or more round records (logs only)
@@ -41,7 +40,9 @@
 // <extents> is the lo/hi pair of every attribute, in schema order. Every
 // family writes its frontier as `item` lines (core/frontier.h), and the
 // decoder rejects an item the family could not have produced (see
-// CrawlState::CheckItem, core/frontier.cc).
+// CrawlState::CheckItem, core/frontier.cc) — a slice item, for one, must
+// be a slice query of the root of an eager state. An eager state keeps no
+// pass cursor: its pass is over once no slice entry is unknown.
 //
 // The round-record grammar does not depend on how a writer computes K: a
 // writer that encodes only the changed frontier lines (core/frontier_log.h)

@@ -56,8 +56,8 @@ class CrawlContext {
   /// (ServerLoadHint::latency_feedback) the cap is the adaptive limit fed
   /// back from observed round-trip latency and server queue wait.
   ///
-  /// The frontier driver (core/frontier.h) and the slice engine's eager
-  /// preprocessing pass call this at the top of each round, when the
+  /// The frontier driver (core/frontier.h) is its one caller: it calls
+  /// this at the top of each round, with its rules' RoundWidth, when the
   /// previous round is fully applied and the state is self-consistent —
   /// which makes it the round *boundary*. When a frontier log is attached
   /// (CrawlOptions::frontier_log) this is where the durable delta commits:

@@ -105,6 +105,11 @@ struct FrontierItem {
     /// A numeric rectangle, split by binary-shrink's or rank-shrink's rule;
     /// `level` is 0.
     kRank,
+    /// An eager slice-cover pass lookup that a stopped round left
+    /// unanswered: `q` is the slice query and `level` its position in the
+    /// slice table (core/slice_engine.h). Only an eager slice-engine state
+    /// holds one.
+    kSlice,
   };
   Kind kind;
   Query q;
@@ -116,7 +121,7 @@ struct FrontierItem {
 /// core/frontier.h) drains. A state is created by Crawler::Crawl and can be
 /// fed back to Crawler::Resume. The frontier codec (core/frontier.cc) is
 /// one line per item, bottom of the stack first:
-///   item <node|rank> <level> <2d extent values>
+///   item <node|rank|slice> <level> <2d extent values>
 class CrawlState {
  public:
   /// `algorithm` is the owning crawler's name; `kind` is the one item kind

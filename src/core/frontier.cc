@@ -13,7 +13,27 @@ namespace hdc {
 namespace {
 
 const char* KindName(FrontierItem::Kind kind) {
-  return kind == FrontierItem::Kind::kNode ? "node" : "rank";
+  switch (kind) {
+    case FrontierItem::Kind::kNode:
+      return "node";
+    case FrontierItem::Kind::kRank:
+      return "rank";
+    case FrontierItem::Kind::kSlice:
+      break;
+  }
+  return "slice";
+}
+
+bool KindFromName(const std::string& name, FrontierItem::Kind* kind) {
+  for (FrontierItem::Kind k :
+       {FrontierItem::Kind::kNode, FrontierItem::Kind::kRank,
+        FrontierItem::Kind::kSlice}) {
+    if (name == KindName(k)) {
+      *kind = k;
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -79,17 +99,17 @@ Status CrawlState::DecodeLine(CheckpointReader* in,
   std::istringstream tokens(line);
   std::string tag, kind;
   uint32_t level = 0;
-  if (!(tokens >> tag >> kind >> level) || tag != "item" ||
-      (kind != "node" && kind != "rank")) {
+  if (!(tokens >> tag >> kind >> level) || tag != "item") {
     return in->Error("malformed frontier line: " + line);
   }
-  Query q = Query::FullSpace(schema);
-  if (Status s = DecodeQueryTokens(&tokens, schema, &q); !s.ok()) {
+  FrontierItem item{FrontierItem::Kind::kNode, Query::FullSpace(schema),
+                    level};
+  if (!KindFromName(kind, &item.kind)) {
+    return in->Error("malformed frontier line: " + line);
+  }
+  if (Status s = DecodeQueryTokens(&tokens, schema, &item.q); !s.ok()) {
     return in->Error(s.message());
   }
-  FrontierItem item{kind == "node" ? FrontierItem::Kind::kNode
-                                   : FrontierItem::Kind::kRank,
-                    std::move(q), level};
   if (Status s = CheckItem(item); !s.ok()) return in->Error(s.message());
   frontier.push_back(std::move(item));
   return Status::OK();
@@ -136,7 +156,7 @@ void RunFrontier(CrawlContext* ctx, CrawlState* state, FrontierRules* rules) {
     // Frontier items cover disjoint regions, so up to `batch` of them ride
     // one server round trip. Items the rules settle without a query do not
     // count against the round.
-    const size_t batch = ctx->RoundSize(frontier.size());
+    const size_t batch = ctx->RoundSize(rules->RoundWidth());
     round.clear();
     queries.clear();
     while (!frontier.empty() && round.size() < batch) {

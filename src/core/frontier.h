@@ -30,8 +30,9 @@ std::shared_ptr<CrawlState> MakeSeededState(const SchemaPtr& schema,
                                             const CrawlOptions& options);
 
 /// A family's rules for the driver. The default plan probes every item's
-/// own rectangle; only the slice engine answers items locally or asks a
-/// different query (a slice lookup) on an item's behalf.
+/// own rectangle; only the slice engine answers items locally, asks a
+/// different query (a slice lookup) on an item's behalf, or widens a round
+/// past the stack (its eager pass).
 class FrontierRules {
  public:
   enum class Step : uint8_t {
@@ -43,6 +44,11 @@ class FrontierRules {
   FrontierRules(CrawlContext* ctx, CrawlState* state)
       : ctx_(ctx), frontier_(&state->frontier) {}
   virtual ~FrontierRules() = default;
+
+  /// The frontier width a round is sized from (CrawlContext::RoundSize):
+  /// the stack size, unless the family knows of more independent queries
+  /// than the stack holds.
+  virtual size_t RoundWidth() { return frontier_->size(); }
 
   /// Decides what a popped item needs this round.
   virtual Step Plan(FrontierItem* /*item*/) { return Step::kProbe; }
@@ -82,8 +88,8 @@ class FrontierRules {
 };
 
 /// Drains `state`'s frontier against `ctx` until it is empty or the context
-/// stops. Each round: RoundSize, pop up to that many items needing a query,
-/// one IssueBatch; unanswered members go back in reverse, so the stack is
+/// stops. Each round: RoundSize of the rules' RoundWidth, pop up to that
+/// many items needing a query, one IssueBatch; unanswered members go back in reverse, so the stack is
 /// exactly as if they had never been popped.
 void RunFrontier(CrawlContext* ctx, CrawlState* state, FrontierRules* rules);
 

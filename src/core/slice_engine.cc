@@ -42,66 +42,6 @@ void RecordSlice(SliceEngineState* st, size_t cat_pos, Value v,
   st->NoteSliceSet(cat_pos, v);
 }
 
-/// Eager preprocessing: issue every slice query of every categorical
-/// attribute, up to `batch` per server round trip. Returns false when
-/// interrupted (the cursor stays at the first unanswered slice).
-bool RunPreprocessing(CrawlContext* ctx, SliceEngineState* st) {
-  const SchemaPtr& schema = st->extracted.schema();
-  const auto& cat = st->cat_order;
-  struct PlannedSlice {
-    size_t pos;
-    Value value;
-  };
-  std::vector<PlannedSlice> planned;
-  std::vector<Query> queries;
-  std::vector<Response> responses;
-  while (true) {
-    // Walk the cursor forward, collecting up to `batch` unknown slices
-    // (already-known entries — e.g. restored from a checkpoint — cost
-    // nothing, exactly as in the sequential conversation). Preprocessing
-    // has no frontier; auto sizing fills the server's lanes outright.
-    const size_t batch =
-        ctx->RoundSize(std::numeric_limits<size_t>::max());
-    planned.clear();
-    queries.clear();
-    size_t pos = st->pre_cat_pos;
-    Value v = st->pre_value;
-    while (pos < cat.size() && planned.size() < batch) {
-      const Value domain = static_cast<Value>(schema->domain_size(cat[pos]));
-      if (v > domain) {
-        ++pos;
-        v = 1;
-        continue;
-      }
-      if (st->slices[pos][static_cast<size_t>(v)].state ==
-          SliceEntry::State::kUnknown) {
-        planned.push_back(PlannedSlice{pos, v});
-        queries.push_back(MakeSliceQuery(*st, pos, v));
-      }
-      ++v;
-    }
-    if (planned.empty()) {
-      st->pre_cat_pos = cat.size();
-      st->pre_value = 1;
-      st->preprocessing_done = true;
-      st->NoteCursorMoved();
-      return true;
-    }
-
-    const std::vector<CrawlContext::Outcome> outcomes =
-        ctx->IssueBatch(queries, &responses);
-    for (size_t i = 0; i < planned.size(); ++i) {
-      if (outcomes[i] == CrawlContext::Outcome::kStop) return false;
-      RecordSlice(st, planned[i].pos, planned[i].value, outcomes[i],
-                  &responses[i]);
-      // Advance the resume cursor past the answered slice.
-      st->pre_cat_pos = planned[i].pos;
-      st->pre_value = planned[i].value + 1;
-      st->NoteCursorMoved();
-    }
-  }
-}
-
 }  // namespace
 
 SliceEngineState::SliceEngineState(SchemaPtr schema, std::string algorithm,
@@ -120,7 +60,6 @@ SliceEngineState::SliceEngineState(SchemaPtr schema, std::string algorithm,
     HDC_CHECK(s->IsCategorical(cat_order[p]));
     slices[p].resize(s->domain_size(cat_order[p]) + 1);
   }
-  preprocessing_done = !eager;
 }
 
 std::vector<size_t> ResolveCategoricalOrder(const Schema& schema,
@@ -162,9 +101,39 @@ class SliceRules : public RankShrinkRules {
              const RankShrinkOptions& rank)
       : RankShrinkRules(ctx, st, rank), st_(st) {}
 
+  size_t RoundWidth() override {
+    // The eager pass asks independent slices, not stack items: its rounds
+    // fill the server's lanes outright.
+    if (st_->eager && NextUnasked()) {
+      return std::numeric_limits<size_t>::max();
+    }
+    return frontier_->size();
+  }
+
   Step Plan(FrontierItem* item) override {
     if (item->kind == FrontierItem::Kind::kRank) return Step::kProbe;
+    if (item->kind == FrontierItem::Kind::kSlice) {
+      // An eager-pass lookup a stopped round left unanswered.
+      return Ask(SliceOf(*item)) ? Step::kLookup : Step::kDone;
+    }
     if (item->level == 0) {
+      if (st_->eager && NextUnasked()) {
+        // The eager pass: the root stays at the bottom of the stack and
+        // this pop of it asks the next slice.
+        frontier_->push_back(*item);
+        const Value v = static_cast<Value>(v_++);
+        planned_.emplace_back(pos_, v);
+        *item = FrontierItem{FrontierItem::Kind::kSlice,
+                             MakeSliceQuery(*st_, pos_, v),
+                             static_cast<uint32_t>(pos_)};
+        return Step::kLookup;
+      }
+      if (st_->eager && !planned_.empty()) {
+        // Only this round's lookups remain: the root parks, and as the
+        // bottom item it ends the round.
+        parked_.push_back(std::move(*item));
+        return Step::kDone;
+      }
       // The root query is never issued: enumerate its children directly
       // (their slice lookups decide everything the root's status could).
       ExpandNode(*item, st_->cat_order);
@@ -174,24 +143,21 @@ class SliceRules : public RankShrinkRules {
     // The node was created by refining its parent with the slice
     // (cat_order[level-1] = v); that slice decides whether it can be
     // answered locally.
-    const auto [pos, v] = SliceOf(*item);
-    const SliceEntry& slice = st_->slices[pos][static_cast<size_t>(v)];
-    if (slice.state == SliceEntry::State::kUnknown) {
-      if (std::find(planned_.begin(), planned_.end(),
-                    std::make_pair(pos, v)) != planned_.end()) {
-        // A sibling branch in this very round already asks for the same
-        // slice: don't spend a duplicate query — park the item until the
-        // round is planned; it finds the recorded entry next round.
-        parked_.push_back(std::move(*item));
-        return Step::kDone;
-      }
-      planned_.emplace_back(pos, v);
-      return Step::kLookup;
+    const std::pair<size_t, Value> slice = SliceOf(*item);
+    const SliceEntry& entry =
+        st_->slices[slice.first][static_cast<size_t>(slice.second)];
+    if (entry.state == SliceEntry::State::kUnknown) {
+      if (Ask(slice)) return Step::kLookup;
+      // A sibling branch in this very round already asks for the same
+      // slice: don't spend a duplicate query — park the item until the
+      // round is planned; it finds the recorded entry next round.
+      parked_.push_back(std::move(*item));
+      return Step::kDone;
     }
-    if (slice.state == SliceEntry::State::kResolved) {
+    if (entry.state == SliceEntry::State::kResolved) {
       // Local answer: the slice's bag is authoritative for this node's
       // region; filter it by the node query. No server query spent.
-      ctx_->CollectFiltered(slice.bag, item->q);
+      ctx_->CollectFiltered(entry.bag, item->q);
       return Step::kDone;
     }
 
@@ -233,6 +199,8 @@ class SliceRules : public RankShrinkRules {
                 Response* response) override {
     const auto [pos, v] = SliceOf(item);
     RecordSlice(st_, pos, v, outcome, response);
+    // Nothing waits on an eager-pass lookup.
+    if (item.kind == FrontierItem::Kind::kSlice) return true;
     if (outcome == CrawlContext::Outcome::kOverflow &&
         item.level == st_->cat_order.size() && Lookup(item) == item.q) {
       // The slice query was this very rectangle (one categorical
@@ -259,35 +227,66 @@ class SliceRules : public RankShrinkRules {
   }
 
  private:
-  /// The slice (position in cat_order, value) that refined `node` from its
-  /// parent.
-  std::pair<size_t, Value> SliceOf(const FrontierItem& node) const {
-    const size_t pos = node.level - 1;
-    return {pos, node.q.lo(st_->cat_order[pos])};
+  /// The slice (position in cat_order, value) a slice item asks, or that
+  /// refined `node` from its parent.
+  std::pair<size_t, Value> SliceOf(const FrontierItem& item) const {
+    const size_t pos = item.kind == FrontierItem::Kind::kSlice
+                           ? item.level
+                           : item.level - 1;
+    return {pos, item.q.lo(st_->cat_order[pos])};
+  }
+
+  /// Plans a lookup of `slice` this round; false when it is known already
+  /// or planned this round.
+  bool Ask(std::pair<size_t, Value> slice) {
+    if (st_->slices[slice.first][static_cast<size_t>(slice.second)].state !=
+            SliceEntry::State::kUnknown ||
+        std::find(planned_.begin(), planned_.end(), slice) !=
+            planned_.end()) {
+      return false;
+    }
+    planned_.push_back(slice);
+    return true;
+  }
+
+  /// Moves the eager pass's scan (pos_, v_) to the next slice entry that
+  /// is unknown and not planned this round; false when none is left. Every
+  /// entry the scan has passed is known once its round is answered, and a
+  /// stopped round ends the run, so the scan never moves back.
+  bool NextUnasked() {
+    for (; pos_ < st_->slices.size(); ++pos_, v_ = 1) {
+      for (; v_ < st_->slices[pos_].size(); ++v_) {
+        if (st_->slices[pos_][v_].state == SliceEntry::State::kUnknown &&
+            std::find(planned_.begin(), planned_.end(),
+                      std::make_pair(pos_, static_cast<Value>(v_))) ==
+                planned_.end()) {
+          return true;
+        }
+      }
+    }
+    return false;
   }
 
   SliceEngineState* st_;
   std::vector<std::pair<size_t, Value>> planned_;  // this round's lookups
   std::vector<FrontierItem> parked_;
+  size_t pos_ = 0;  // the eager pass's scan
+  size_t v_ = 1;
 };
 
 }  // namespace
 
 void SliceEngineRun(CrawlContext* ctx, SliceEngineState* st,
                     const RankShrinkOptions& rank) {
-  if (st->eager && !st->preprocessing_done) {
-    if (!RunPreprocessing(ctx, st)) return;
-  }
   SliceRules rules(ctx, st, rank);
   RunFrontier(ctx, st, &rules);
 }
 
 size_t SliceEngineState::AppendFrontier(bool changed_only,
                                         std::string* out) const {
-  // Lines 0-2 (root, catorder, eager) never change once the state exists,
-  // lines 3-4 (the cursor) change only in preprocessing. The slice table
-  // follows in (position, value) order, then the items. `first` stays
-  // kNone until the first line that may have changed.
+  // Lines 0-2 (root, catorder, eager) never change once the state exists.
+  // The slice table follows in (position, value) order, then the items.
+  // `first` stays kNone until the first line that may have changed.
   constexpr size_t kNone = std::numeric_limits<size_t>::max();
   size_t first = changed_only ? kNone : 0;
   if (first == 0) {
@@ -300,17 +299,8 @@ size_t SliceEngineState::AppendFrontier(bool changed_only,
     }
     *out += eager ? "\neager 1\n" : "\neager 0\n";
   }
-  if (first == kNone && cursor_changed_) first = 3;
-  if (first != kNone) {
-    *out += preprocessing_done ? "predone 1\n" : "predone 0\n";
-    *out += "precursor ";
-    AppendDecimal(pre_cat_pos, out);
-    *out += ' ';
-    AppendDecimal(pre_value, out);
-    *out += '\n';
-  }
 
-  size_t line = 5;
+  size_t line = 3;
   for (size_t pos = 0; pos < slices.size(); ++pos) {
     for (size_t v = 1; v < slices[pos].size(); ++v) {
       const SliceEntry& entry = slices[pos][v];
@@ -353,7 +343,6 @@ size_t SliceEngineState::AppendFrontier(bool changed_only,
 
 void SliceEngineState::MarkFrontierCommitted(uint64_t token) const {
   slice_floor_ = {slices.size(), 0};
-  cursor_changed_ = false;
   CrawlState::MarkFrontierCommitted(token);
 }
 
@@ -392,15 +381,9 @@ Status SliceEngineState::DecodeFrontier(CheckpointReader* in) {
   for (size_t p = 0; p < cat_order.size(); ++p) {
     slices[p].resize(schema->domain_size(cat_order[p]) + 1);
   }
-  int eager_flag = 0, done_flag = 0;
+  int eager_flag = 0;
   HDC_RETURN_IF_ERROR(next("eager", eager_flag));
-  HDC_RETURN_IF_ERROR(next("predone", done_flag));
-  HDC_RETURN_IF_ERROR(next("precursor", pre_cat_pos, pre_value));
-  if (pre_cat_pos > slices.size()) {
-    return in->Error("preprocessing cursor out of range");
-  }
   eager = eager_flag != 0;
-  preprocessing_done = done_flag != 0;
   return CrawlState::DecodeFrontier(in);
 }
 
@@ -447,6 +430,18 @@ Status SliceEngineState::DecodeLine(CheckpointReader* in,
 }
 
 Status SliceEngineState::CheckItem(const FrontierItem& item) const {
+  if (item.kind == FrontierItem::Kind::kSlice) {
+    if (!eager) return Status::InvalidArgument("slice item in a lazy state");
+    if (item.level >= cat_order.size()) {
+      return Status::InvalidArgument("slice position out of range");
+    }
+    if (!item.q.IsPinned(cat_order[item.level]) ||
+        !(MakeSliceQuery(*this, item.level, item.q.lo(cat_order[item.level])) ==
+          item.q)) {
+      return Status::InvalidArgument("slice item is not a slice of the root");
+    }
+    return Status::OK();
+  }
   HDC_RETURN_IF_ERROR(CheckItemLevel(item, cat_order));
   if (item.kind == FrontierItem::Kind::kRank) {
     for (size_t attr : cat_order) {

@@ -22,6 +22,12 @@
 // Eager mode issues all Sigma U_i slice queries up-front (slice-cover);
 // lazy mode issues each slice on first need and memoizes
 // (lazy-slice-cover), which never costs more (Section 3.2, "Heuristic").
+// Both run on the one frontier driver (core/frontier.h). The eager pass is
+// the tree root's plan: while a slice entry is unknown, the root stays at
+// the bottom of the stack and each pop of it becomes a lookup of the next
+// slice not yet asked; the pass's rounds are as wide as the server allows.
+// Once every entry is known the root expands. A stopped round leaves its
+// unanswered lookups on the stack as slice items; no cursor is kept.
 // When a lazy slice query is the node's own rectangle (one categorical
 // attribute) and overflows, rank-shrink starts from that answer at once
 // instead of asking it again; eager mode keeps only the bit and asks it
@@ -60,32 +66,30 @@ enum class CategoricalOrder {
 
 /// The extended-DFS frontier — kNode items are data-space-tree nodes over
 /// cat_order, kRank items rank-shrink rectangles under a fully-pinned
-/// categorical point — plus the slice table and the eager cursor.
+/// categorical point, kSlice items eager-pass lookups a stopped round left
+/// unanswered — plus the slice table. The eager pass is over once no entry
+/// is unknown; the state keeps no other record of it.
 class SliceEngineState : public CrawlState {
  public:
   /// `algorithm` is the owning crawler's name ("slice-cover",
-  /// "lazy-slice-cover" or "hybrid"); `eager` selects the preprocessing
-  /// phase; `cat_order` lists the categorical attribute indices in
+  /// "lazy-slice-cover" or "hybrid"); `eager` selects the up-front slice
+  /// pass; `cat_order` lists the categorical attribute indices in
   /// traversal order (empty = schema order).
   SliceEngineState(SchemaPtr schema, std::string algorithm, bool eager,
                    std::vector<size_t> cat_order = {});
 
-  bool Finished() const override {
-    return preprocessing_done && frontier.empty();
-  }
-  /// The slice table and eager cursor lines (root, catorder, eager,
-  /// predone, precursor, slice/bag), then the item lines.
+  /// The slice table lines (root, catorder, eager, slice/bag), then the
+  /// item lines.
   size_t AppendFrontier(bool changed_only, std::string* out) const override;
   void MarkFrontierCommitted(uint64_t token) const override;
   Status DecodeFrontier(CheckpointReader* in) override;
 
-  /// Change marks for the frontier log: slice entry (pos, v) was set, or
-  /// the eager cursor moved, since the last commit.
+  /// Change mark for the frontier log: slice entry (pos, v) was set since
+  /// the last commit.
   void NoteSliceSet(size_t pos, Value v) {
     const std::pair<size_t, size_t> entry(pos, static_cast<size_t>(v));
     if (entry < slice_floor_) slice_floor_ = entry;
   }
-  void NoteCursorMoved() { cursor_changed_ = true; }
 
   /// The rectangle the crawl covers: the full space, or a plan's pushdown
   /// root (core/crawl_plan.h). Slice queries and the tree root are scoped
@@ -101,23 +105,20 @@ class SliceEngineState : public CrawlState {
   /// (values are 1-based).
   std::vector<std::vector<SliceEntry>> slices;
 
-  /// Eager preprocessing cursor (so a budget stop mid-preprocessing
-  /// resumes where it left off).
+  /// Slice-cover's up-front pass: every slice is asked before the root
+  /// expands.
   bool eager = false;
-  bool preprocessing_done = false;
-  size_t pre_cat_pos = 0;
-  Value pre_value = 1;
 
  protected:
   Status DecodeLine(CheckpointReader* in, const std::string& line) override;
-  /// Nodes pin a prefix of cat_order; rank items pin every categorical.
+  /// Nodes pin a prefix of cat_order; rank items pin every categorical;
+  /// slice items, in an eager state only, are a slice query of the root.
   Status CheckItem(const FrontierItem& item) const override;
 
  private:
   /// The first slice entry, as (position, value), set since the last
   /// commit; (slices.size(), 0) when none was.
   mutable std::pair<size_t, size_t> slice_floor_{0, 0};
-  mutable bool cursor_changed_ = true;
 };
 
 /// Resolves a CategoricalOrder into the concrete attribute-index order.

@@ -195,10 +195,11 @@ void WriteLogSeed(const fs::path& dir, const std::string& name,
 }
 
 /// Seeds are Save* round-trips of mid-crawl states of every crawler family
-/// the three schemas admit (eager slice-cover stopped inside its
-/// preprocessing pass), plus the two hostile counts that once aborted the
-/// process (a seen-row count and a slice-bag count of 2^62) and a
-/// rank-shrink checkpoint in the retired `q` frontier grammar.
+/// the three schemas admit (eager slice-cover stopped inside its up-front
+/// slice pass), plus the two hostile counts that once aborted the process
+/// (a seen-row count and a slice-bag count of 2^62), a rank-shrink
+/// checkpoint in the retired `q` frontier grammar and an eager checkpoint
+/// with the retired pass cursor.
 int Generate(const std::string& dir_arg) {
   const fs::path dir(dir_arg);
   fs::create_directories(dir);
@@ -220,11 +221,13 @@ int Generate(const std::string& dir_arg) {
   hdc::SliceCoverCrawler lazy_slice_cover(/*lazy=*/true);
   WriteSeed(dir, "checkpoint_lazy_slice_cover",
             Checkpoint(*Interrupted(&lazy_slice_cover, CategoricalData(), 10)));
-  // Stopped inside the eager preprocessing pass (5 + 6 + 4 slice queries).
+  // Stopped inside the eager slice pass (5 + 6 + 4 slice queries): the
+  // lookup the budget refused waits on the stack as a slice item.
   hdc::SliceCoverCrawler slice_cover(/*lazy=*/false);
   const std::string preprocessing =
       Checkpoint(*Interrupted(&slice_cover, CategoricalData(), 7));
-  HDC_CHECK(preprocessing.find("predone 0") != std::string::npos);
+  const std::string slice_item = "item slice 1 1 5 3 3 1 4\n";
+  HDC_CHECK(preprocessing.find(slice_item) != std::string::npos);
   WriteSeed(dir, "checkpoint_slice_cover_preprocessing", preprocessing);
 
   hdc::CrawlService service(CategoricalData(), KFor(*CategoricalData()));
@@ -270,6 +273,18 @@ int Generate(const std::string& dir_arg) {
   HDC_CHECK(hdc::LoadCheckpoint(&q_in, NumericData()->schema(), &q_state)
                 .IsInvalidArgument());
   WriteSeed(dir, "regression_q_grammar", q_grammar);
+
+  // The same stop as the eager pass once wrote it, with a resume cursor
+  // instead of the slice item, must fail typed too.
+  std::string cursor = preprocessing;
+  cursor.erase(cursor.find(slice_item), slice_item.size());
+  cursor.insert(cursor.find("eager 1\n") + 8, "predone 0\nprecursor 1 3\n");
+  std::istringstream cursor_in(cursor);
+  std::shared_ptr<CrawlState> cursor_state;
+  HDC_CHECK(hdc::LoadCheckpoint(&cursor_in, CategoricalData()->schema(),
+                                &cursor_state)
+                .IsInvalidArgument());
+  WriteSeed(dir, "regression_eager_cursor", cursor);
 
   std::cout << "crawl_state_fuzz: wrote seed corpus to " << dir << "\n";
   return 0;

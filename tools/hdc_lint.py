@@ -31,6 +31,10 @@ Rules
   issue-path         no server overrides Issue(): IssueBatch is the one
                      entry point a HiddenDbServer implements, and Issue is
                      server.h's one-member wrapper around it.
+  round-boundary     RoundSize( appears only in core/frontier.cc and
+                     core/crawl_context.*: the frontier driver is the one
+                     round loop, so round sizing and the frontier-log commit
+                     at each round boundary stay one edit.
 
 Exit status: 0 clean, 1 violations found, 2 usage error.
 """
@@ -76,6 +80,14 @@ MUTEX_ALLOWLIST = {
     "src/util/thread_annotations.h",
 }
 
+# Files allowed to call CrawlContext::RoundSize: the one round loop and
+# the context that defines it.
+ROUND_ALLOWLIST = {
+    "src/core/frontier.cc",
+    "src/core/crawl_context.h",
+    "src/core/crawl_context.cc",
+}
+
 CLOCK_RE = re.compile(
     r"\b(?:steady_clock|system_clock|high_resolution_clock)\s*::\s*now\b"
     r"|\bsleep_for\s*\(|\bsleep_until\s*\(")
@@ -83,6 +95,7 @@ THREAD_RE = re.compile(r"\bstd\s*::\s*thread\b")
 MUTEX_RE = re.compile(
     r"\bstd\s*::\s*(?:mutex|shared_mutex|timed_mutex|recursive_mutex|"
     r"condition_variable(?:_any)?|lock_guard|unique_lock|scoped_lock)\b")
+ROUND_RE = re.compile(r"\bRoundSize\s*\(")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
 # A function (or method) declared/defined as returning Status by value.
@@ -310,6 +323,10 @@ def run(root):
         check_pattern_rule(rel, lines, MUTEX_RE, MUTEX_ALLOWLIST,
                            "mutex-discipline",
                            "raw std locking primitive (use hdc::Mutex)",
+                           findings)
+        check_pattern_rule(rel, lines, ROUND_RE, ROUND_ALLOWLIST,
+                           "round-boundary",
+                           "a round loop outside the frontier driver",
                            findings)
         check_includes(rel, raw.split("\n"), lines, findings)
         check_status_discard(rel, lines, status_names, findings)

@@ -193,6 +193,24 @@ def main():
          "};\n"},
         [], forbid_rules=["issue-path"])
 
+    # --- round-boundary -----------------------------------------------------
+    scenario(
+        "round-boundary: a second round loop calling RoundSize",
+        {"src/core/slice_engine.cc":
+         "void Pass(CrawlContext* ctx) {\n"
+         "  const size_t batch = ctx->RoundSize(kUnbounded);\n"
+         "}\n"},
+        ["round-boundary"])
+    scenario(
+        "round-boundary: the driver, the context and comments are fine",
+        {"src/core/frontier.cc":
+         "void Run() { batch = ctx->RoundSize(rules->RoundWidth()); }\n",
+         "src/core/crawl_context.cc":
+         "size_t CrawlContext::RoundSize(size_t width) { return width; }\n",
+         "src/core/crawl_context.h": "  size_t RoundSize(size_t width);\n",
+         "src/core/ok.h": "// The driver calls RoundSize(width) per round.\n"},
+        [])
+
     # --- multi-rule tree ----------------------------------------------------
     scenario(
         "all five rules fire together",
