@@ -51,10 +51,11 @@ struct CrawlOptions {
   /// signal (see core/batch_sizer.h and `adaptive_batch` below). Any
   /// setting never changes the query *count* of the six crawlers (split
   /// decisions depend only on an item's own response, and no rectangle is
-  /// asked twice — except in eager mode, which asks each overflowing slice
-  /// of a one-categorical schema again, at every setting alike), only the
-  /// conversation order and, against a parallel or remote server, the
-  /// wall-clock time.
+  /// asked twice — except in eager mode, which asks an overflowing slice
+  /// again when it is a fully-pinned node's own rectangle (one categorical
+  /// attribute, or a plan root pinning the others), at every setting
+  /// alike), only the conversation order and, against a parallel or remote
+  /// server, the wall-clock time.
   uint32_t batch_size = 1;
 
   /// Tuning of the latency-aware auto sizing; only consulted when

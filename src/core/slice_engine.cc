@@ -20,25 +20,39 @@ Query MakeSliceQuery(const SliceEngineState& st, size_t cat_pos, Value v) {
   return st.root.WithCategoricalEquals(st.cat_order[cat_pos], v);
 }
 
-/// Records an answered slice query into the lookup table.
+/// Records an answered slice query into the lookup table. A slice query
+/// that is the crawl root itself (a plan root pins cat_order[cat_pos] to v)
+/// is also the slice query of every other position the root pins, so its
+/// answer is recorded there too and nothing asks the root again.
 void RecordSlice(SliceEngineState* st, size_t cat_pos, Value v,
                  CrawlContext::Outcome outcome, Response* response) {
-  SliceEntry& entry = st->slices[cat_pos][static_cast<size_t>(v)];
+  SliceEntry answer;
   switch (outcome) {
     case CrawlContext::Outcome::kPrunedEmpty:
-      entry.state = SliceEntry::State::kResolved;
+      answer.state = SliceEntry::State::kResolved;
       break;
     case CrawlContext::Outcome::kResolved:
-      entry.state = SliceEntry::State::kResolved;
-      entry.bag = std::move(response->tuples);
+      answer.state = SliceEntry::State::kResolved;
+      answer.bag = std::move(response->tuples);
       break;
     case CrawlContext::Outcome::kOverflow:
       // Remember nothing but a bit (Section 3.2).
-      entry.state = SliceEntry::State::kOverflow;
+      answer.state = SliceEntry::State::kOverflow;
       break;
     case CrawlContext::Outcome::kStop:
       return;  // entry stays unknown; the work item is re-pushed
   }
+  const Query& root = st->root;
+  const size_t sliced = st->cat_order[cat_pos];
+  if (root.IsPinned(sliced) && root.lo(sliced) == v) {
+    for (size_t p = 0; p < st->cat_order.size(); ++p) {
+      const size_t attr = st->cat_order[p];
+      if (p == cat_pos || !root.IsPinned(attr)) continue;
+      st->slices[p][static_cast<size_t>(root.lo(attr))] = answer;
+      st->NoteSliceSet(p, root.lo(attr));
+    }
+  }
+  st->slices[cat_pos][static_cast<size_t>(v)] = std::move(answer);
   st->NoteSliceSet(cat_pos, v);
 }
 
@@ -170,9 +184,10 @@ class SliceRules : public RankShrinkRules {
           FrontierItem{FrontierItem::Kind::kRank, std::move(item->q), 0});
       return Step::kDone;
     }
-    if (item->level == 1) {
-      // The node query *is* the slice query, which overflowed — expand
-      // without spending a query.
+    if (item->level == 1 || item->q == st_->root) {
+      // The node query *is* the slice query, which overflowed (at level 1,
+      // and along a plan root's pinned attributes) — expand without
+      // spending a query.
       ExpandNode(*item, st_->cat_order);
       return Step::kDone;
     }
@@ -202,12 +217,13 @@ class SliceRules : public RankShrinkRules {
     // Nothing waits on an eager-pass lookup.
     if (item.kind == FrontierItem::Kind::kSlice) return true;
     if (outcome == CrawlContext::Outcome::kOverflow &&
-        item.level == st_->cat_order.size() && Lookup(item) == item.q) {
-      // The slice query was this very rectangle (one categorical
-      // attribute, or a plan root pinning the others): expand its
-      // rank-shrink children from the overflowing answer in hand instead of
-      // asking it again. The answer is dropped right here, so the table
-      // still remembers only a bit.
+        PinsEveryCategorical(item.q) && Lookup(item) == item.q) {
+      // The slice query was this very rectangle, and it pins every
+      // categorical attribute (one categorical attribute, or a plan root
+      // pinning the others): the node's subtree is one rank-shrink
+      // instance over it. Expand its rank-shrink children from the
+      // overflowing answer in hand instead of asking it again. The answer
+      // is dropped right here, so the table still remembers only a bit.
       item.kind = FrontierItem::Kind::kRank;
       item.level = 0;
       return RankShrinkRules::Expand(item, *response);
@@ -234,6 +250,13 @@ class SliceRules : public RankShrinkRules {
                            ? item.level
                            : item.level - 1;
     return {pos, item.q.lo(st_->cat_order[pos])};
+  }
+
+  bool PinsEveryCategorical(const Query& q) const {
+    for (size_t attr : st_->cat_order) {
+      if (!q.IsPinned(attr)) return false;
+    }
+    return true;
   }
 
   /// Plans a lookup of `slice` this round; false when it is known already

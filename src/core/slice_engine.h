@@ -12,8 +12,9 @@
 //   - a child whose refining slice resolved is answered locally by
 //     filtering the slice's cached bag (no query);
 //   - a child whose slice overflowed is visited: its own query is issued
-//     (except at level 1, where the node query *is* the slice query) and,
-//     on overflow, expanded one level further;
+//     (except where the node query *is* the slice query: at level 1, and
+//     along a plan root's pinned attributes) and, on overflow, expanded one
+//     level further;
 //   - a node with every categorical attribute pinned is the root of a
 //     numeric sub-problem and is handed to rank-shrink (Section 5). With no
 //     numeric attributes that sub-problem is a single point query, which
@@ -28,10 +29,12 @@
 // slice not yet asked; the pass's rounds are as wide as the server allows.
 // Once every entry is known the root expands. A stopped round leaves its
 // unanswered lookups on the stack as slice items; no cursor is kept.
-// When a lazy slice query is the node's own rectangle (one categorical
-// attribute) and overflows, rank-shrink starts from that answer at once
+// When a lazy slice query is the node's own rectangle and pins every
+// categorical attribute (one categorical attribute, or a plan root pinning
+// the others) and overflows, rank-shrink starts from that answer at once
 // instead of asking it again; eager mode keeps only the bit and asks it
-// again.
+// again. A plan root that pins several attributes is the slice query of
+// each: its one answer is recorded for all of them.
 #pragma once
 
 #include <cstdint>

@@ -227,15 +227,24 @@ TEST(ConversationDigestTest, EveryFamilyKeepsItsConversation) {
   }
 }
 
-/// Runs `crawler` over `data` at `batch_size` and returns the number of
-/// times each rectangle was issued beyond its first, split into repeated
-/// slice queries and any other repeats.
+/// True when `q` pins every categorical attribute of its schema.
+bool PinsEveryCategorical(const Query& q) {
+  for (size_t attr : q.schema()->categorical_indices()) {
+    if (!q.IsPinned(attr)) return false;
+  }
+  return true;
+}
+
+/// Runs `crawler` over `data` (under `plan`, when set) at `batch_size` and
+/// returns the number of times each rectangle was issued beyond its first,
+/// split into repeats of a rectangle pinning every categorical attribute
+/// and any other repeats.
 struct Repeats {
-  size_t slices = 0;
+  size_t pinned = 0;
   size_t others = 0;
 };
 Repeats CountRepeats(Crawler* crawler, const Dataset& data,
-                     uint32_t batch_size) {
+                     const CrawlPlan* plan, uint32_t batch_size) {
   auto shared = std::make_shared<Dataset>(data);
   const uint64_t k = std::max<uint64_t>(8, data.MaxPointMultiplicity());
   LocalServerOptions server_options;
@@ -245,14 +254,19 @@ Repeats CountRepeats(Crawler* crawler, const Dataset& data,
   Repeats repeats;
   ObservedServer observed(&base, [&](const Query& q, const Response&) {
     if (issued.insert(q).second) return;
-    ++(q.AsSliceQuery().has_value() ? repeats.slices : repeats.others);
+    ++(PinsEveryCategorical(q) ? repeats.pinned : repeats.others);
   });
   CrawlOptions options;
   options.batch_size = batch_size;
+  options.plan = plan;
   const CrawlResult result = crawler->Crawl(&observed, options);
   EXPECT_TRUE(result.status.ok()) << crawler->name() << ": "
                                   << result.status.ToString();
-  EXPECT_TRUE(Dataset::MultisetEquals(result.extracted, data))
+  Dataset expected(data.schema());
+  for (const Tuple& t : data.tuples()) {
+    if (plan == nullptr || plan->Matches(t)) expected.AddUnchecked(t);
+  }
+  EXPECT_TRUE(Dataset::MultisetEquals(result.extracted, expected))
       << crawler->name();
   return repeats;
 }
@@ -260,23 +274,44 @@ Repeats CountRepeats(Crawler* crawler, const Dataset& data,
 // No crawl asks the server the same rectangle twice: every answer a family
 // needs it already holds. One exception, by design: eager mode (slice-cover
 // and eager hybrid) answers every slice before any node runs and remembers
-// only a bit per overflowing slice, so on a one-categorical schema — where
-// an overflowing slice is itself a rank-shrink root — it asks that slice
-// again. Nothing else may repeat, eager or not.
+// only a bit per overflowing slice, so when a fully-pinned node's own
+// rectangle is a slice query — on a one-categorical schema, or under a plan
+// root that pins every other categorical attribute — rank-shrink asks it
+// again. Nothing else may repeat, eager or not. A plan root pinning two
+// attributes is the slice query of both; it is asked once.
 TEST(ConversationDigestTest, NoCrawlIssuesARectangleTwice) {
   struct Space {
     std::string label;
     Dataset data;
+    std::optional<CrawlPredicate> predicate = std::nullopt;
+    /// Eager repeats of fully-pinned rectangles: exactly this many, or any
+    /// number when unset (a fully-pinned node's rectangle is a slice query:
+    /// one categorical attribute, or a plan root pinning all but one).
+    std::optional<size_t> eager_pinned = 0;
   };
+  CrawlPredicate two_pins;
+  two_pins.AddIn(0, {2}).AddIn(1, {3});
+  CrawlPredicate two_heavy_pins;  // Zipf-heavy values: the root overflows
+  two_heavy_pins.AddIn(0, {1}).AddIn(1, {1});
   const std::vector<Space> spaces = {
       {"numeric (0 categorical)", Numeric(2, 400, 128, 31)},
-      {"categorical {6}", Categorical({6}, 40, 41)},
+      {"categorical {6}", Categorical({6}, 40, 41), std::nullopt,
+       std::nullopt},
       {"categorical {6, 5}", Categorical({6, 5}, 500, 33)},
       {"categorical {5, 6, 4}", Categorical({5, 6, 4}, 600, 34)},
-      {"mixed {10} + 2 numeric", Mixed({10}, 2, 900, 42)},
-      {"mixed {3} + 1 numeric", Mixed({3}, 1, 400, 43)},
+      {"mixed {10} + 2 numeric", Mixed({10}, 2, 900, 42), std::nullopt,
+       std::nullopt},
+      {"mixed {3} + 1 numeric", Mixed({3}, 1, 400, 43), std::nullopt,
+       std::nullopt},
       {"mixed {4, 5} + 1 numeric", Mixed({4, 5}, 1, 700, 35)},
       {"mixed {3, 4, 3} + 2 numeric", Mixed({3, 4, 3}, 2, 900, 36)},
+      {"categorical {5, 6, 4}, plan C1 = 1, C2 = 1",
+       Categorical({5, 6, 4}, 600, 34), two_heavy_pins},
+      // The plan root pins every categorical: the one eager repeat.
+      {"mixed {4, 5} + 1 numeric, plan C1 = 2, C2 = 3",
+       Mixed({4, 5}, 1, 700, 35), two_pins, 1},
+      {"mixed {3, 4, 3} + 2 numeric, plan C1 = 2, C2 = 3",
+       Mixed({3, 4, 3}, 2, 900, 36), two_pins, std::nullopt},
   };
   std::vector<std::unique_ptr<Crawler>> crawlers;
   crawlers.push_back(std::make_unique<BinaryShrink>());
@@ -288,20 +323,37 @@ TEST(ConversationDigestTest, NoCrawlIssuesARectangleTwice) {
   crawlers.push_back(EagerHybrid());
   for (const Space& space : spaces) {
     const Schema& schema = *space.data.schema();
+    CrawlPlan plan;
+    if (space.predicate.has_value()) {
+      ASSERT_TRUE(
+          CompileCrawlPlan(space.data.schema(), *space.predicate, &plan).ok());
+    }
     for (const auto& crawler : crawlers) {
       if (!crawler->ValidateSchema(schema).ok()) continue;
+      // The plan cases are the slice engine's: a plan root is the slice
+      // query of every attribute it pins.
+      if (space.predicate.has_value() && crawler->name() != "slice-cover" &&
+          crawler->name() != "lazy-slice-cover" &&
+          crawler->name() != "hybrid") {
+        continue;
+      }
       const bool eager =
           crawler->name() == "slice-cover" ||
           (crawler->name() == "hybrid" &&
            !static_cast<const HybridCrawler&>(*crawler).options().lazy);
       for (uint32_t batch_size : {1u, 4u, 0u}) {  // 0: auto
-        const Repeats repeats =
-            CountRepeats(crawler.get(), space.data, batch_size);
-        const std::string where = crawler->name() + " on " + space.label +
-                                  " @ batch " + std::to_string(batch_size);
+        const Repeats repeats = CountRepeats(
+            crawler.get(), space.data,
+            space.predicate.has_value() ? &plan : nullptr, batch_size);
+        const std::string where = crawler->name() +
+                                  (eager ? " (eager)" : "") + " on " +
+                                  space.label + " @ batch " +
+                                  std::to_string(batch_size);
         EXPECT_EQ(repeats.others, 0u) << where;
-        if (!eager || schema.num_categorical() != 1) {
-          EXPECT_EQ(repeats.slices, 0u) << where;
+        if (!eager) {
+          EXPECT_EQ(repeats.pinned, 0u) << where;
+        } else if (space.eager_pinned.has_value()) {
+          EXPECT_EQ(repeats.pinned, *space.eager_pinned) << where;
         }
       }
     }
