@@ -41,8 +41,7 @@
 // family writes its frontier as `item` lines (core/frontier.h), and the
 // decoder rejects an item the family could not have produced (see
 // CrawlState::CheckItem, core/frontier.cc) — a slice item, for one, must
-// be a slice query of the root of an eager state. An eager state keeps no
-// pass cursor: its pass is over once no slice entry is unknown.
+// be a slice query of the root of an eager state.
 //
 // The round-record grammar does not depend on how a writer computes K: a
 // writer that encodes only the changed frontier lines (core/frontier_log.h)

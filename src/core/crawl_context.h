@@ -50,7 +50,9 @@ class CrawlContext {
   /// round: the fixed CrawlOptions::batch_size when one was given (>= 1),
   /// otherwise (batch_size == 0, "auto") the current `frontier_width`
   /// capped by the server's evaluation parallelism — wide frontiers fill
-  /// the server's lanes, narrow ones never pad the round. Against a
+  /// the server's lanes, narrow ones never pad the round. The width is the
+  /// stack size, or unbounded while an eager slice pass has slices left
+  /// to ask (FrontierRules::RoundWidth). Against a
   /// single-lane server, auto degenerates to 1 and reproduces the
   /// sequential conversation exactly. Against a remote transport
   /// (ServerLoadHint::latency_feedback) the cap is the adaptive limit fed

@@ -135,7 +135,7 @@ class CrawlState {
   virtual ~CrawlState() = default;
 
   /// True when the extraction is complete.
-  virtual bool Finished() const { return frontier.empty(); }
+  bool Finished() const { return frontier.empty(); }
 
   /// Algorithm tag, to guard against resuming a state with the wrong
   /// crawler.

@@ -2,6 +2,7 @@
 #include "core/frontier.h"
 
 #include <algorithm>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -12,28 +13,11 @@
 namespace hdc {
 namespace {
 
-const char* KindName(FrontierItem::Kind kind) {
-  switch (kind) {
-    case FrontierItem::Kind::kNode:
-      return "node";
-    case FrontierItem::Kind::kRank:
-      return "rank";
-    case FrontierItem::Kind::kSlice:
-      break;
-  }
-  return "slice";
-}
+/// Item kind names of the frontier codec, indexed by FrontierItem::Kind.
+constexpr const char* kKindNames[] = {"node", "rank", "slice"};
 
-bool KindFromName(const std::string& name, FrontierItem::Kind* kind) {
-  for (FrontierItem::Kind k :
-       {FrontierItem::Kind::kNode, FrontierItem::Kind::kRank,
-        FrontierItem::Kind::kSlice}) {
-    if (name == KindName(k)) {
-      *kind = k;
-      return true;
-    }
-  }
-  return false;
+const char* KindName(FrontierItem::Kind kind) {
+  return kKindNames[static_cast<size_t>(kind)];
 }
 
 }  // namespace
@@ -99,14 +83,16 @@ Status CrawlState::DecodeLine(CheckpointReader* in,
   std::istringstream tokens(line);
   std::string tag, kind;
   uint32_t level = 0;
-  if (!(tokens >> tag >> kind >> level) || tag != "item") {
+  const char* const* name = std::end(kKindNames);
+  if ((tokens >> tag >> kind >> level) && tag == "item") {
+    name = std::find(std::begin(kKindNames), std::end(kKindNames), kind);
+  }
+  if (name == std::end(kKindNames)) {
     return in->Error("malformed frontier line: " + line);
   }
-  FrontierItem item{FrontierItem::Kind::kNode, Query::FullSpace(schema),
-                    level};
-  if (!KindFromName(kind, &item.kind)) {
-    return in->Error("malformed frontier line: " + line);
-  }
+  FrontierItem item{
+      static_cast<FrontierItem::Kind>(name - std::begin(kKindNames)),
+      Query::FullSpace(schema), level};
   if (Status s = DecodeQueryTokens(&tokens, schema, &item.q); !s.ok()) {
     return in->Error(s.message());
   }

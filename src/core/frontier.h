@@ -89,8 +89,8 @@ class FrontierRules {
 
 /// Drains `state`'s frontier against `ctx` until it is empty or the context
 /// stops. Each round: RoundSize of the rules' RoundWidth, pop up to that
-/// many items needing a query, one IssueBatch; unanswered members go back in reverse, so the stack is
-/// exactly as if they had never been popped.
+/// many items needing a query, one IssueBatch; unanswered members go back
+/// in reverse, so the stack is exactly as if they had never been popped.
 void RunFrontier(CrawlContext* ctx, CrawlState* state, FrontierRules* rules);
 
 /// Checks a node's level against `order` (every attribute of

@@ -16,8 +16,8 @@
 // Commit cost follows what changed, not the frontier's size. The state
 // keeps change marks since its last commit (CrawlState::AppendFrontier):
 // the lowest stack size RunFrontier popped down to and, in the slice
-// engine, the first slice entry set and whether the eager cursor moved.
-// The writer encodes only from the first line those marks name, compares
+// engine, the first slice entry set. The writer encodes only from the
+// first line those marks name, compares
 // just those lines with its cached copy of the last encoding, and so finds
 // the same K as a full diff would. It trusts the marks only of the state
 // object its own last successful commit marked; any other state (a loaded
@@ -27,11 +27,12 @@
 //
 // Items are the last frontier lines, so a round of a binary-shrink,
 // rank-shrink or DFS crawl re-emits only the items above the lowest popped
-// one. Slice-family records are not that small: the slice table and the
-// eager cursor come before the items, so a record re-emits every line
-// after the first slice entry set that round (every slice line while the
-// eager pass runs). Carrying slices and the cursor as their own delta
-// records needs a format change.
+// one. The slice table comes before the items, so a slice-family record
+// re-emits every line after the first slice entry set that round. The
+// eager pass sets entries in table order, so its records hold just the
+// entries the round set and the item lines; a lazy crawl sets entries
+// anywhere in the table, so its records stay O(slice table). Carrying
+// slice entries as their own delta records needs a format change.
 //
 // Durability protocol: each commit is appended with a single write() and
 // (when FrontierLogOptions::sync) fsync'd before Commit() returns. The

@@ -20,10 +20,17 @@ Query MakeSliceQuery(const SliceEngineState& st, size_t cat_pos, Value v) {
   return st.root.WithCategoricalEquals(st.cat_order[cat_pos], v);
 }
 
+/// The first attribute of `attrs` that `q` leaves free, or attrs.end().
+std::vector<size_t>::const_iterator FirstFree(
+    const Query& q, const std::vector<size_t>& attrs) {
+  return std::find_if(attrs.begin(), attrs.end(),
+                      [&](size_t attr) { return !q.IsPinned(attr); });
+}
+
 /// Records an answered slice query into the lookup table. A slice query
 /// that is the crawl root itself (a plan root pins cat_order[cat_pos] to v)
-/// is also the slice query of every other position the root pins, so its
-/// answer is recorded there too and nothing asks the root again.
+/// is the slice query of every position the root pins: its answer is
+/// recorded for all of them, so nothing asks the root again.
 void RecordSlice(SliceEngineState* st, size_t cat_pos, Value v,
                  CrawlContext::Outcome outcome, Response* response) {
   SliceEntry answer;
@@ -44,13 +51,12 @@ void RecordSlice(SliceEngineState* st, size_t cat_pos, Value v,
   }
   const Query& root = st->root;
   const size_t sliced = st->cat_order[cat_pos];
-  if (root.IsPinned(sliced) && root.lo(sliced) == v) {
-    for (size_t p = 0; p < st->cat_order.size(); ++p) {
-      const size_t attr = st->cat_order[p];
-      if (p == cat_pos || !root.IsPinned(attr)) continue;
-      st->slices[p][static_cast<size_t>(root.lo(attr))] = answer;
-      st->NoteSliceSet(p, root.lo(attr));
-    }
+  const bool is_root = root.IsPinned(sliced) && root.lo(sliced) == v;
+  for (size_t p = 0; is_root && p < st->cat_order.size(); ++p) {
+    const size_t attr = st->cat_order[p];
+    if (p == cat_pos || !root.IsPinned(attr)) continue;
+    st->slices[p][static_cast<size_t>(root.lo(attr))] = answer;
+    st->NoteSliceSet(p, root.lo(attr));
   }
   st->slices[cat_pos][static_cast<size_t>(v)] = std::move(answer);
   st->NoteSliceSet(cat_pos, v);
@@ -217,7 +223,8 @@ class SliceRules : public RankShrinkRules {
     // Nothing waits on an eager-pass lookup.
     if (item.kind == FrontierItem::Kind::kSlice) return true;
     if (outcome == CrawlContext::Outcome::kOverflow &&
-        PinsEveryCategorical(item.q) && Lookup(item) == item.q) {
+        FirstFree(item.q, st_->cat_order) == st_->cat_order.end() &&
+        Lookup(item) == item.q) {
       // The slice query was this very rectangle, and it pins every
       // categorical attribute (one categorical attribute, or a plan root
       // pinning the others): the node's subtree is one rank-shrink
@@ -252,22 +259,18 @@ class SliceRules : public RankShrinkRules {
     return {pos, item.q.lo(st_->cat_order[pos])};
   }
 
-  bool PinsEveryCategorical(const Query& q) const {
-    for (size_t attr : st_->cat_order) {
-      if (!q.IsPinned(attr)) return false;
-    }
-    return true;
+  /// True when `slice` is unknown and not planned this round.
+  bool Unasked(std::pair<size_t, Value> slice) const {
+    return st_->slices[slice.first][static_cast<size_t>(slice.second)]
+                   .state == SliceEntry::State::kUnknown &&
+           std::find(planned_.begin(), planned_.end(), slice) ==
+               planned_.end();
   }
 
   /// Plans a lookup of `slice` this round; false when it is known already
   /// or planned this round.
   bool Ask(std::pair<size_t, Value> slice) {
-    if (st_->slices[slice.first][static_cast<size_t>(slice.second)].state !=
-            SliceEntry::State::kUnknown ||
-        std::find(planned_.begin(), planned_.end(), slice) !=
-            planned_.end()) {
-      return false;
-    }
+    if (!Unasked(slice)) return false;
     planned_.push_back(slice);
     return true;
   }
@@ -279,12 +282,7 @@ class SliceRules : public RankShrinkRules {
   bool NextUnasked() {
     for (; pos_ < st_->slices.size(); ++pos_, v_ = 1) {
       for (; v_ < st_->slices[pos_].size(); ++v_) {
-        if (st_->slices[pos_][v_].state == SliceEntry::State::kUnknown &&
-            std::find(planned_.begin(), planned_.end(),
-                      std::make_pair(pos_, static_cast<Value>(v_))) ==
-                planned_.end()) {
-          return true;
-        }
+        if (Unasked({pos_, static_cast<Value>(v_)})) return true;
       }
     }
     return false;
@@ -455,25 +453,20 @@ Status SliceEngineState::DecodeLine(CheckpointReader* in,
 Status SliceEngineState::CheckItem(const FrontierItem& item) const {
   if (item.kind == FrontierItem::Kind::kSlice) {
     if (!eager) return Status::InvalidArgument("slice item in a lazy state");
-    if (item.level >= cat_order.size()) {
-      return Status::InvalidArgument("slice position out of range");
-    }
-    if (!item.q.IsPinned(cat_order[item.level]) ||
-        !(MakeSliceQuery(*this, item.level, item.q.lo(cat_order[item.level])) ==
-          item.q)) {
-      return Status::InvalidArgument("slice item is not a slice of the root");
-    }
-    return Status::OK();
+    const size_t pos = item.level;
+    return pos < cat_order.size() && item.q.IsPinned(cat_order[pos]) &&
+                   MakeSliceQuery(*this, pos, item.q.lo(cat_order[pos])) ==
+                       item.q
+               ? Status::OK()
+               : Status::InvalidArgument(
+                     "slice item is not a slice query of the root");
   }
   HDC_RETURN_IF_ERROR(CheckItemLevel(item, cat_order));
-  if (item.kind == FrontierItem::Kind::kRank) {
-    for (size_t attr : cat_order) {
-      if (!item.q.IsPinned(attr)) {
-        return Status::InvalidArgument(
-            "rank item leaves categorical " +
-            extracted.schema()->attribute(attr).name + " free");
-      }
-    }
+  const auto free = FirstFree(item.q, cat_order);
+  if (item.kind == FrontierItem::Kind::kRank && free != cat_order.end()) {
+    return Status::InvalidArgument("rank item leaves categorical " +
+                                   extracted.schema()->attribute(*free).name +
+                                   " free");
   }
   return Status::OK();
 }

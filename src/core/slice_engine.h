@@ -28,7 +28,7 @@
 // the bottom of the stack and each pop of it becomes a lookup of the next
 // slice not yet asked; the pass's rounds are as wide as the server allows.
 // Once every entry is known the root expands. A stopped round leaves its
-// unanswered lookups on the stack as slice items; no cursor is kept.
+// unanswered lookups on the stack as slice items.
 // When a lazy slice query is the node's own rectangle and pins every
 // categorical attribute (one categorical attribute, or a plan root pinning
 // the others) and overflows, rank-shrink starts from that answer at once
@@ -71,7 +71,7 @@ enum class CategoricalOrder {
 /// cat_order, kRank items rank-shrink rectangles under a fully-pinned
 /// categorical point, kSlice items eager-pass lookups a stopped round left
 /// unanswered — plus the slice table. The eager pass is over once no entry
-/// is unknown; the state keeps no other record of it.
+/// is unknown.
 class SliceEngineState : public CrawlState {
  public:
   /// `algorithm` is the owning crawler's name ("slice-cover",
