@@ -24,7 +24,6 @@
 //   slice <position> <value> R <m> # resolved: its m-tuple bag follows
 //   bag <row id> <v1> <v2> ...
 //   item <node|rank> <level> <extents>  # the frontier stack, bottom first
-//   item slice <position> <extents>     # eager only: an unanswered lookup
 //   frontier-end
 //   snapshot-end
 //   round <seq>                    # zero or more round records (logs only)
@@ -40,8 +39,7 @@
 // <extents> is the lo/hi pair of every attribute, in schema order. Every
 // family writes its frontier as `item` lines (core/frontier.h), and the
 // decoder rejects an item the family could not have produced (see
-// CrawlState::CheckItem, core/frontier.cc) — a slice item, for one, must
-// be a slice query of the root of an eager state.
+// CrawlState::CheckItem, core/frontier.cc).
 //
 // The round-record grammar does not depend on how a writer computes K: a
 // writer that encodes only the changed frontier lines (core/frontier_log.h)

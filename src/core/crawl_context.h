@@ -50,22 +50,20 @@ class CrawlContext {
   /// round: the fixed CrawlOptions::batch_size when one was given (>= 1),
   /// otherwise (batch_size == 0, "auto") the current `frontier_width`
   /// capped by the server's evaluation parallelism — wide frontiers fill
-  /// the server's lanes, narrow ones never pad the round. The width is the
-  /// stack size, or unbounded while an eager slice pass has slices left
-  /// to ask (FrontierRules::RoundWidth). Against a
-  /// single-lane server, auto degenerates to 1 and reproduces the
-  /// sequential conversation exactly. Against a remote transport
-  /// (ServerLoadHint::latency_feedback) the cap is the adaptive limit fed
-  /// back from observed round-trip latency and server queue wait.
+  /// the server's lanes, narrow ones never pad the round (the width is
+  /// FrontierRules::RoundWidth). Against a single-lane server, auto
+  /// degenerates to 1 and reproduces the sequential conversation exactly.
+  /// Against a remote transport (ServerLoadHint::latency_feedback) the cap
+  /// is the adaptive limit fed back from observed round-trip latency and
+  /// server queue wait.
   ///
-  /// The frontier driver (core/frontier.h) is its one caller: it calls
-  /// this at the top of each round, with its rules' RoundWidth, when the
-  /// previous round is fully applied and the state is self-consistent —
-  /// which makes it the round *boundary*. When a frontier log is attached
-  /// (CrawlOptions::frontier_log) this is where the durable delta commits:
-  /// a commit always precedes the round it enables, so a crash never loses
-  /// billed work (see core/frontier_log.h). A commit failure stops the run
-  /// like a server failure would.
+  /// The frontier driver (core/frontier.h), its one caller, calls this at the
+  /// top of each round, when the previous round is fully applied and the
+  /// state is self-consistent — which makes it the round *boundary*. When a
+  /// frontier log is attached (CrawlOptions::frontier_log) this is where the
+  /// durable delta commits: a commit always precedes the round it enables, so
+  /// a crash never loses billed work (see core/frontier_log.h). A commit
+  /// failure stops the run like a server failure would.
   size_t RoundSize(size_t frontier_width);
 
   /// The adaptive sizer driving auto rounds, or null when sizing is the

@@ -52,8 +52,7 @@ struct CrawlOptions {
   /// setting never changes the query *count* of the six crawlers (split
   /// decisions depend only on an item's own response, and no rectangle is
   /// asked twice — except in eager mode, which asks an overflowing slice
-  /// again when it is a fully-pinned node's own rectangle (one categorical
-  /// attribute, or a plan root pinning the others), at every setting
+  /// again when it is a fully-pinned node's rectangle, at every setting
   /// alike), only the conversation order and, against a parallel or remote
   /// server, the wall-clock time.
   uint32_t batch_size = 1;
@@ -106,10 +105,7 @@ struct FrontierItem {
     /// A numeric rectangle, split by binary-shrink's or rank-shrink's rule;
     /// `level` is 0.
     kRank,
-    /// An eager slice-cover pass lookup that a stopped round left
-    /// unanswered: `q` is the slice query and `level` its position in the
-    /// slice table (core/slice_engine.h). Only an eager slice-engine state
-    /// holds one.
+    /// An eager slice-pass lookup (core/slice_engine.h); never encoded.
     kSlice,
   };
   Kind kind;
@@ -122,7 +118,7 @@ struct FrontierItem {
 /// core/frontier.h) drains. A state is created by Crawler::Crawl and can be
 /// fed back to Crawler::Resume. The frontier codec (core/frontier.cc) is
 /// one line per item, bottom of the stack first:
-///   item <node|rank|slice> <level> <2d extent values>
+///   item <node|rank> <level> <2d extent values>
 class CrawlState {
  public:
   /// `algorithm` is the owning crawler's name; `kind` is the one item kind

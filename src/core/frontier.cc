@@ -2,7 +2,6 @@
 #include "core/frontier.h"
 
 #include <algorithm>
-#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -13,11 +12,8 @@
 namespace hdc {
 namespace {
 
-/// Item kind names of the frontier codec, indexed by FrontierItem::Kind.
-constexpr const char* kKindNames[] = {"node", "rank", "slice"};
-
 const char* KindName(FrontierItem::Kind kind) {
-  return kKindNames[static_cast<size_t>(kind)];
+  return kind == FrontierItem::Kind::kNode ? "node" : "rank";
 }
 
 }  // namespace
@@ -83,19 +79,17 @@ Status CrawlState::DecodeLine(CheckpointReader* in,
   std::istringstream tokens(line);
   std::string tag, kind;
   uint32_t level = 0;
-  const char* const* name = std::end(kKindNames);
-  if ((tokens >> tag >> kind >> level) && tag == "item") {
-    name = std::find(std::begin(kKindNames), std::end(kKindNames), kind);
-  }
-  if (name == std::end(kKindNames)) {
+  if (!(tokens >> tag >> kind >> level) || tag != "item" ||
+      (kind != "node" && kind != "rank")) {
     return in->Error("malformed frontier line: " + line);
   }
-  FrontierItem item{
-      static_cast<FrontierItem::Kind>(name - std::begin(kKindNames)),
-      Query::FullSpace(schema), level};
-  if (Status s = DecodeQueryTokens(&tokens, schema, &item.q); !s.ok()) {
+  Query q = Query::FullSpace(schema);
+  if (Status s = DecodeQueryTokens(&tokens, schema, &q); !s.ok()) {
     return in->Error(s.message());
   }
+  FrontierItem item{kind == "node" ? FrontierItem::Kind::kNode
+                                   : FrontierItem::Kind::kRank,
+                    std::move(q), level};
   if (Status s = CheckItem(item); !s.ok()) return in->Error(s.message());
   frontier.push_back(std::move(item));
   return Status::OK();

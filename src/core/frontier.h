@@ -30,9 +30,8 @@ std::shared_ptr<CrawlState> MakeSeededState(const SchemaPtr& schema,
                                             const CrawlOptions& options);
 
 /// A family's rules for the driver. The default plan probes every item's
-/// own rectangle; only the slice engine answers items locally, asks a
-/// different query (a slice lookup) on an item's behalf, or widens a round
-/// past the stack (its eager pass).
+/// own rectangle; only the slice engine answers items locally or asks a
+/// different query (a slice lookup) on an item's behalf.
 class FrontierRules {
  public:
   enum class Step : uint8_t {
@@ -45,9 +44,8 @@ class FrontierRules {
       : ctx_(ctx), frontier_(&state->frontier) {}
   virtual ~FrontierRules() = default;
 
-  /// The frontier width a round is sized from (CrawlContext::RoundSize):
-  /// the stack size, unless the family knows of more independent queries
-  /// than the stack holds.
+  /// The width a round is sized from (CrawlContext::RoundSize): the stack
+  /// size, or more when the family has more independent queries to ask.
   virtual size_t RoundWidth() { return frontier_->size(); }
 
   /// Decides what a popped item needs this round.

@@ -16,23 +16,21 @@
 // Commit cost follows what changed, not the frontier's size. The state
 // keeps change marks since its last commit (CrawlState::AppendFrontier):
 // the lowest stack size RunFrontier popped down to and, in the slice
-// engine, the first slice entry set. The writer encodes only from the
-// first line those marks name, compares
-// just those lines with its cached copy of the last encoding, and so finds
-// the same K as a full diff would. It trusts the marks only of the state
-// object its own last successful commit marked; any other state (a loaded
-// one, a second state on the same writer, any state after a failed commit)
-// is encoded from line 0. Tuples and seen ids are appended to the pending
-// record as they arrive.
+// engine, the first slice entry set. The writer encodes only from the first
+// line those marks name, compares just those lines with its cached copy of
+// the last encoding, and so finds the same K as a full diff would. It
+// trusts the marks only of the state object its own last successful commit
+// marked; any other state (a loaded one, a second state on the same writer,
+// any state after a failed commit) is encoded from line 0. Tuples and seen
+// ids are appended to the pending record as they arrive.
 //
 // Items are the last frontier lines, so a round of a binary-shrink,
 // rank-shrink or DFS crawl re-emits only the items above the lowest popped
 // one. The slice table comes before the items, so a slice-family record
-// re-emits every line after the first slice entry set that round. The
-// eager pass sets entries in table order, so its records hold just the
-// entries the round set and the item lines; a lazy crawl sets entries
-// anywhere in the table, so its records stay O(slice table). Carrying
-// slice entries as their own delta records needs a format change.
+// re-emits every line after the first slice entry set that round: just the
+// round's entries and the items in the eager pass, which sets entries in
+// table order, but O(slice table) in a lazy crawl. Slice entries as their
+// own delta records need a format change.
 //
 // Durability protocol: each commit is appended with a single write() and
 // (when FrontierLogOptions::sync) fsync'd before Commit() returns. The

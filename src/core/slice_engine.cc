@@ -20,6 +20,13 @@ Query MakeSliceQuery(const SliceEngineState& st, size_t cat_pos, Value v) {
   return st.root.WithCategoricalEquals(st.cat_order[cat_pos], v);
 }
 
+/// True when the slice query (cat_order[cat_pos] = v) is the crawl root
+/// itself: a plan root pins that attribute to v.
+bool IsRootSlice(const SliceEngineState& st, size_t cat_pos, Value v) {
+  const size_t attr = st.cat_order[cat_pos];
+  return st.root.IsPinned(attr) && st.root.lo(attr) == v;
+}
+
 /// The first attribute of `attrs` that `q` leaves free, or attrs.end().
 std::vector<size_t>::const_iterator FirstFree(
     const Query& q, const std::vector<size_t>& attrs) {
@@ -27,31 +34,22 @@ std::vector<size_t>::const_iterator FirstFree(
                       [&](size_t attr) { return !q.IsPinned(attr); });
 }
 
-/// Records an answered slice query into the lookup table. A slice query
-/// that is the crawl root itself (a plan root pins cat_order[cat_pos] to v)
-/// is the slice query of every position the root pins: its answer is
-/// recorded for all of them, so nothing asks the root again.
+/// Records an answered slice query (never kStop) into the lookup table. A
+/// slice query that is the crawl root itself is the slice query of every
+/// position the root pins: its answer is recorded for all of them, so
+/// nothing asks the root again.
 void RecordSlice(SliceEngineState* st, size_t cat_pos, Value v,
                  CrawlContext::Outcome outcome, Response* response) {
   SliceEntry answer;
-  switch (outcome) {
-    case CrawlContext::Outcome::kPrunedEmpty:
-      answer.state = SliceEntry::State::kResolved;
-      break;
-    case CrawlContext::Outcome::kResolved:
-      answer.state = SliceEntry::State::kResolved;
-      answer.bag = std::move(response->tuples);
-      break;
-    case CrawlContext::Outcome::kOverflow:
-      // Remember nothing but a bit (Section 3.2).
-      answer.state = SliceEntry::State::kOverflow;
-      break;
-    case CrawlContext::Outcome::kStop:
-      return;  // entry stays unknown; the work item is re-pushed
+  // An overflowing slice: remember nothing but a bit (Section 3.2).
+  answer.state = outcome == CrawlContext::Outcome::kOverflow
+                     ? SliceEntry::State::kOverflow
+                     : SliceEntry::State::kResolved;
+  if (outcome == CrawlContext::Outcome::kResolved) {
+    answer.bag = std::move(response->tuples);
   }
   const Query& root = st->root;
-  const size_t sliced = st->cat_order[cat_pos];
-  const bool is_root = root.IsPinned(sliced) && root.lo(sliced) == v;
+  const bool is_root = IsRootSlice(*st, cat_pos, v);
   for (size_t p = 0; is_root && p < st->cat_order.size(); ++p) {
     const size_t attr = st->cat_order[p];
     if (p == cat_pos || !root.IsPinned(attr)) continue;
@@ -122,30 +120,23 @@ class SliceRules : public RankShrinkRules {
       : RankShrinkRules(ctx, st, rank), st_(st) {}
 
   size_t RoundWidth() override {
-    // The eager pass asks independent slices, not stack items: its rounds
+    // The eager pass's lookups are independent of the stack: its rounds
     // fill the server's lanes outright.
-    if (st_->eager && NextUnasked()) {
-      return std::numeric_limits<size_t>::max();
-    }
-    return frontier_->size();
+    return st_->eager && NextUnasked() ? std::numeric_limits<size_t>::max()
+                                       : frontier_->size();
   }
 
   Step Plan(FrontierItem* item) override {
     if (item->kind == FrontierItem::Kind::kRank) return Step::kProbe;
-    if (item->kind == FrontierItem::Kind::kSlice) {
-      // An eager-pass lookup a stopped round left unanswered.
-      return Ask(SliceOf(*item)) ? Step::kLookup : Step::kDone;
-    }
     if (item->level == 0) {
       if (st_->eager && NextUnasked()) {
         // The eager pass: the root stays at the bottom of the stack and
         // this pop of it asks the next slice.
         frontier_->push_back(*item);
-        const Value v = static_cast<Value>(v_++);
-        planned_.emplace_back(pos_, v);
+        planned_.emplace_back(pos_, v_);
         *item = FrontierItem{FrontierItem::Kind::kSlice,
-                             MakeSliceQuery(*st_, pos_, v),
-                             static_cast<uint32_t>(pos_)};
+                             MakeSliceQuery(*st_, pos_, v_++),
+                             static_cast<uint32_t>(pos_ + 1)};
         return Step::kLookup;
       }
       if (st_->eager && !planned_.empty()) {
@@ -167,7 +158,10 @@ class SliceRules : public RankShrinkRules {
     const SliceEntry& entry =
         st_->slices[slice.first][static_cast<size_t>(slice.second)];
     if (entry.state == SliceEntry::State::kUnknown) {
-      if (Ask(slice)) return Step::kLookup;
+      if (Unasked(slice)) {
+        planned_.push_back(slice);
+        return Step::kLookup;
+      }
       // A sibling branch in this very round already asks for the same
       // slice: don't spend a duplicate query — park the item until the
       // round is planned; it finds the recorded entry next round.
@@ -220,17 +214,15 @@ class SliceRules : public RankShrinkRules {
                 Response* response) override {
     const auto [pos, v] = SliceOf(item);
     RecordSlice(st_, pos, v, outcome, response);
-    // Nothing waits on an eager-pass lookup.
-    if (item.kind == FrontierItem::Kind::kSlice) return true;
+    if (item.kind == FrontierItem::Kind::kSlice) return true;  // eager pass
     if (outcome == CrawlContext::Outcome::kOverflow &&
         FirstFree(item.q, st_->cat_order) == st_->cat_order.end() &&
         Lookup(item) == item.q) {
-      // The slice query was this very rectangle, and it pins every
-      // categorical attribute (one categorical attribute, or a plan root
-      // pinning the others): the node's subtree is one rank-shrink
-      // instance over it. Expand its rank-shrink children from the
-      // overflowing answer in hand instead of asking it again. The answer
-      // is dropped right here, so the table still remembers only a bit.
+      // The slice query was this very rectangle and pins every categorical
+      // (one categorical attribute, or a plan root pinning the others):
+      // expand its rank-shrink children from the overflowing answer in hand
+      // instead of asking it again. The answer is dropped right here, so
+      // the table still remembers only a bit.
       item.kind = FrontierItem::Kind::kRank;
       item.level = 0;
       return RankShrinkRules::Expand(item, *response);
@@ -250,13 +242,11 @@ class SliceRules : public RankShrinkRules {
   }
 
  private:
-  /// The slice (position in cat_order, value) a slice item asks, or that
-  /// refined `node` from its parent.
-  std::pair<size_t, Value> SliceOf(const FrontierItem& item) const {
-    const size_t pos = item.kind == FrontierItem::Kind::kSlice
-                           ? item.level
-                           : item.level - 1;
-    return {pos, item.q.lo(st_->cat_order[pos])};
+  /// The slice (position in cat_order, value) that refined `node` from its
+  /// parent, or that an eager-pass lookup (its level is the node's) asks.
+  std::pair<size_t, Value> SliceOf(const FrontierItem& node) const {
+    const size_t pos = node.level - 1;
+    return {pos, node.q.lo(st_->cat_order[pos])};
   }
 
   /// True when `slice` is unknown and not planned this round.
@@ -267,22 +257,14 @@ class SliceRules : public RankShrinkRules {
                planned_.end();
   }
 
-  /// Plans a lookup of `slice` this round; false when it is known already
-  /// or planned this round.
-  bool Ask(std::pair<size_t, Value> slice) {
-    if (!Unasked(slice)) return false;
-    planned_.push_back(slice);
-    return true;
-  }
-
   /// Moves the eager pass's scan (pos_, v_) to the next slice entry that
   /// is unknown and not planned this round; false when none is left. Every
   /// entry the scan has passed is known once its round is answered, and a
   /// stopped round ends the run, so the scan never moves back.
   bool NextUnasked() {
     for (; pos_ < st_->slices.size(); ++pos_, v_ = 1) {
-      for (; v_ < st_->slices[pos_].size(); ++v_) {
-        if (Unasked({pos_, static_cast<Value>(v_)})) return true;
+      for (; v_ < static_cast<Value>(st_->slices[pos_].size()); ++v_) {
+        if (Unasked({pos_, v_})) return true;
       }
     }
     return false;
@@ -292,7 +274,7 @@ class SliceRules : public RankShrinkRules {
   std::vector<std::pair<size_t, Value>> planned_;  // this round's lookups
   std::vector<FrontierItem> parked_;
   size_t pos_ = 0;  // the eager pass's scan
-  size_t v_ = 1;
+  Value v_ = 1;
 };
 
 }  // namespace
@@ -301,6 +283,12 @@ void SliceEngineRun(CrawlContext* ctx, SliceEngineState* st,
                     const RankShrinkOptions& rank) {
   SliceRules rules(ctx, st, rank);
   RunFrontier(ctx, st, &rules);
+  // A stop's unanswered eager lookups are the first unknown entries in
+  // table order: the next run's scan plans them again.
+  while (!st->frontier.empty() &&
+         st->frontier.back().kind == FrontierItem::Kind::kSlice) {
+    st->frontier.pop_back();
+  }
 }
 
 size_t SliceEngineState::AppendFrontier(bool changed_only,
@@ -451,16 +439,6 @@ Status SliceEngineState::DecodeLine(CheckpointReader* in,
 }
 
 Status SliceEngineState::CheckItem(const FrontierItem& item) const {
-  if (item.kind == FrontierItem::Kind::kSlice) {
-    if (!eager) return Status::InvalidArgument("slice item in a lazy state");
-    const size_t pos = item.level;
-    return pos < cat_order.size() && item.q.IsPinned(cat_order[pos]) &&
-                   MakeSliceQuery(*this, pos, item.q.lo(cat_order[pos])) ==
-                       item.q
-               ? Status::OK()
-               : Status::InvalidArgument(
-                     "slice item is not a slice query of the root");
-  }
   HDC_RETURN_IF_ERROR(CheckItemLevel(item, cat_order));
   const auto free = FirstFree(item.q, cat_order);
   if (item.kind == FrontierItem::Kind::kRank && free != cat_order.end()) {

@@ -23,18 +23,16 @@
 // Eager mode issues all Sigma U_i slice queries up-front (slice-cover);
 // lazy mode issues each slice on first need and memoizes
 // (lazy-slice-cover), which never costs more (Section 3.2, "Heuristic").
-// Both run on the one frontier driver (core/frontier.h). The eager pass is
-// the tree root's plan: while a slice entry is unknown, the root stays at
-// the bottom of the stack and each pop of it becomes a lookup of the next
-// slice not yet asked; the pass's rounds are as wide as the server allows.
-// Once every entry is known the root expands. A stopped round leaves its
-// unanswered lookups on the stack as slice items.
+// Both run on the one frontier driver (core/frontier.h). In eager mode,
+// while a slice entry is unknown, each pop of the tree root re-pushes it
+// and asks the next unknown slice instead, in rounds as wide as the server
+// allows; a stop drops the round's unanswered lookups, which the resumed
+// scan asks first. Once every entry is known the root expands.
 // When a lazy slice query is the node's own rectangle and pins every
 // categorical attribute (one categorical attribute, or a plan root pinning
 // the others) and overflows, rank-shrink starts from that answer at once
 // instead of asking it again; eager mode keeps only the bit and asks it
-// again. A plan root that pins several attributes is the slice query of
-// each: its one answer is recorded for all of them.
+// again.
 #pragma once
 
 #include <cstdint>
@@ -69,9 +67,7 @@ enum class CategoricalOrder {
 
 /// The extended-DFS frontier — kNode items are data-space-tree nodes over
 /// cat_order, kRank items rank-shrink rectangles under a fully-pinned
-/// categorical point, kSlice items eager-pass lookups a stopped round left
-/// unanswered — plus the slice table. The eager pass is over once no entry
-/// is unknown.
+/// categorical point — plus the slice table.
 class SliceEngineState : public CrawlState {
  public:
   /// `algorithm` is the owning crawler's name ("slice-cover",
@@ -114,8 +110,7 @@ class SliceEngineState : public CrawlState {
 
  protected:
   Status DecodeLine(CheckpointReader* in, const std::string& line) override;
-  /// Nodes pin a prefix of cat_order; rank items pin every categorical;
-  /// slice items, in an eager state only, are a slice query of the root.
+  /// Nodes pin a prefix of cat_order; rank items pin every categorical.
   Status CheckItem(const FrontierItem& item) const override;
 
  private:

@@ -396,30 +396,19 @@ TEST(CheckpointDurabilityTest, ItemsBreakingTheDriverInvariantsFailTyped) {
     ExpectFailsAtLine(text, categorical->schema(), line);
   }
 
-  // Slice items: an eager-pass lookup a stopped round left unanswered. Only
-  // an eager state holds them, and each is one slice query of the root.
+  // An eager-pass lookup is never saved: the resumed pass asks the first
+  // unknown slices again. So the grammar has no slice item, not even for
+  // an eager state or for a slice query of the root.
   SliceCoverCrawler slice_cover(/*lazy=*/false);
   const std::string eager_checkpoint =
       InterruptedCheckpoint(&slice_cover, categorical, 7);
-  for (const std::string bad : {
-           "item slice 3 1 5 1 6 2 2",  // position out of range
-           "item slice 1 2 2 3 3 1 4",  // pins two attributes
-           "item slice 1 1 5 1 6 1 4",  // pins none
-           "item slice 0 1 5 3 3 1 4",  // pins another position's attribute
-       }) {
+  EXPECT_EQ(eager_checkpoint.find("item slice"), std::string::npos);
+  for (const std::string bad :
+       {"item slice 1 1 5 3 3 1 4", "item slice 0 2 2 1 6 1 4"}) {
     SCOPED_TRACE(bad);
     const std::string text = WithOnlyItem(eager_checkpoint, bad, &line);
     ExpectFailsAtLine(text, categorical->schema(), line);
   }
-  std::istringstream eager_in(
-      WithOnlyItem(eager_checkpoint, "item slice 1 1 5 3 3 1 4", &line));
-  std::shared_ptr<CrawlState> eager_state;
-  EXPECT_TRUE(LoadCheckpoint(&eager_in, categorical->schema(), &eager_state)
-                  .ok());
-  // The same slice of the root in a lazy state.
-  const std::string lazy_text =
-      WithOnlyItem(hybrid.serialized, "item slice 0 2 2 1 5 0 119", &line);
-  ExpectFailsAtLine(lazy_text, mixed, line);
 }
 
 TEST(CheckpointDurabilityTest, MissingFileIsNotFound) {
