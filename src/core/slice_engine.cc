@@ -133,7 +133,7 @@ class SliceRules : public RankShrinkRules {
         // The eager pass: the root stays at the bottom of the stack and
         // this pop of it asks the next slice.
         frontier_->push_back(*item);
-        planned_.emplace_back(pos_, v_);
+        planned_.push_back(Key({pos_, v_}));
         *item = FrontierItem{FrontierItem::Kind::kSlice,
                              MakeSliceQuery(*st_, pos_, v_++),
                              static_cast<uint32_t>(pos_ + 1)};
@@ -159,7 +159,7 @@ class SliceRules : public RankShrinkRules {
         st_->slices[slice.first][static_cast<size_t>(slice.second)];
     if (entry.state == SliceEntry::State::kUnknown) {
       if (Unasked(slice)) {
-        planned_.push_back(slice);
+        planned_.push_back(Key(slice));
         return Step::kLookup;
       }
       // A sibling branch in this very round already asks for the same
@@ -249,11 +249,19 @@ class SliceRules : public RankShrinkRules {
     return {pos, node.q.lo(st_->cat_order[pos])};
   }
 
-  /// True when `slice` is unknown and not planned this round.
+  /// `slice`, or one shared key when its query is the crawl root: all root
+  /// slices are one query (RecordSlice records it for each).
+  std::pair<size_t, Value> Key(std::pair<size_t, Value> slice) const {
+    return IsRootSlice(*st_, slice.first, slice.second)
+               ? std::make_pair(st_->cat_order.size(), Value{0})
+               : slice;
+  }
+
+  /// True when `slice` is unknown and its query is not planned this round.
   bool Unasked(std::pair<size_t, Value> slice) const {
     return st_->slices[slice.first][static_cast<size_t>(slice.second)]
                    .state == SliceEntry::State::kUnknown &&
-           std::find(planned_.begin(), planned_.end(), slice) ==
+           std::find(planned_.begin(), planned_.end(), Key(slice)) ==
                planned_.end();
   }
 

@@ -227,20 +227,25 @@ TEST(ConversationDigestTest, EveryFamilyKeepsItsConversation) {
   }
 }
 
-/// True when `q` pins every categorical attribute of its schema.
-bool PinsEveryCategorical(const Query& q) {
+/// True when `q` is a slice query of the crawl root `root`: `root` with one
+/// categorical attribute pinned. A plan root is the slice query of every
+/// attribute it pins.
+bool IsSliceOf(const Query& q, const Query& root) {
   for (size_t attr : q.schema()->categorical_indices()) {
-    if (!q.IsPinned(attr)) return false;
+    if (q.IsPinned(attr) &&
+        root.WithCategoricalEquals(attr, q.lo(attr)) == q) {
+      return true;
+    }
   }
-  return true;
+  return false;
 }
 
 /// Runs `crawler` over `data` (under `plan`, when set) at `batch_size` and
 /// returns the number of times each rectangle was issued beyond its first,
-/// split into repeats of a rectangle pinning every categorical attribute
-/// and any other repeats.
+/// split into repeated slice queries of the crawl root and any other
+/// repeats.
 struct Repeats {
-  size_t pinned = 0;
+  size_t slices = 0;
   size_t others = 0;
 };
 Repeats CountRepeats(Crawler* crawler, const Dataset& data,
@@ -250,11 +255,13 @@ Repeats CountRepeats(Crawler* crawler, const Dataset& data,
   LocalServerOptions server_options;
   server_options.max_parallelism = 4;
   LocalServer base(shared, k, nullptr, server_options);
+  const Query root =
+      plan != nullptr ? plan->root() : Query::FullSpace(data.schema());
   std::unordered_set<Query, QueryHasher> issued;
   Repeats repeats;
   ObservedServer observed(&base, [&](const Query& q, const Response&) {
     if (issued.insert(q).second) return;
-    ++(PinsEveryCategorical(q) ? repeats.pinned : repeats.others);
+    ++(IsSliceOf(q, root) ? repeats.slices : repeats.others);
   });
   CrawlOptions options;
   options.batch_size = batch_size;
@@ -277,17 +284,17 @@ Repeats CountRepeats(Crawler* crawler, const Dataset& data,
 // only a bit per overflowing slice, so when a fully-pinned node's own
 // rectangle is a slice query — on a one-categorical schema, or under a plan
 // root that pins every other categorical attribute — rank-shrink asks it
-// again. Nothing else may repeat, eager or not. A plan root pinning two
-// attributes is the slice query of both; it is asked once.
+// again. Nothing else may repeat, eager or not, at any batch size. A plan
+// root pinning two attributes is the slice query of both; it is asked
+// once.
 TEST(ConversationDigestTest, NoCrawlIssuesARectangleTwice) {
   struct Space {
     std::string label;
     Dataset data;
     std::optional<CrawlPredicate> predicate = std::nullopt;
-    /// Eager repeats of fully-pinned rectangles: exactly this many, or any
-    /// number when unset (a fully-pinned node's rectangle is a slice query:
-    /// one categorical attribute, or a plan root pinning all but one).
-    std::optional<size_t> eager_pinned = 0;
+    /// Eager repeats of slice queries (fully-pinned nodes' own rectangles
+    /// that overflow), the same at every batch size.
+    size_t eager_slices = 0;
   };
   CrawlPredicate two_pins;
   two_pins.AddIn(0, {2}).AddIn(1, {3});
@@ -295,14 +302,11 @@ TEST(ConversationDigestTest, NoCrawlIssuesARectangleTwice) {
   two_heavy_pins.AddIn(0, {1}).AddIn(1, {1});
   const std::vector<Space> spaces = {
       {"numeric (0 categorical)", Numeric(2, 400, 128, 31)},
-      {"categorical {6}", Categorical({6}, 40, 41), std::nullopt,
-       std::nullopt},
+      {"categorical {6}", Categorical({6}, 40, 41)},
       {"categorical {6, 5}", Categorical({6, 5}, 500, 33)},
       {"categorical {5, 6, 4}", Categorical({5, 6, 4}, 600, 34)},
-      {"mixed {10} + 2 numeric", Mixed({10}, 2, 900, 42), std::nullopt,
-       std::nullopt},
-      {"mixed {3} + 1 numeric", Mixed({3}, 1, 400, 43), std::nullopt,
-       std::nullopt},
+      {"mixed {10} + 2 numeric", Mixed({10}, 2, 900, 42), std::nullopt, 10},
+      {"mixed {3} + 1 numeric", Mixed({3}, 1, 400, 43), std::nullopt, 3},
       {"mixed {4, 5} + 1 numeric", Mixed({4, 5}, 1, 700, 35)},
       {"mixed {3, 4, 3} + 2 numeric", Mixed({3, 4, 3}, 2, 900, 36)},
       {"categorical {5, 6, 4}, plan C1 = 1, C2 = 1",
@@ -311,7 +315,7 @@ TEST(ConversationDigestTest, NoCrawlIssuesARectangleTwice) {
       {"mixed {4, 5} + 1 numeric, plan C1 = 2, C2 = 3",
        Mixed({4, 5}, 1, 700, 35), two_pins, 1},
       {"mixed {3, 4, 3} + 2 numeric, plan C1 = 2, C2 = 3",
-       Mixed({3, 4, 3}, 2, 900, 36), two_pins, std::nullopt},
+       Mixed({3, 4, 3}, 2, 900, 36), two_pins, 3},
   };
   std::vector<std::unique_ptr<Crawler>> crawlers;
   crawlers.push_back(std::make_unique<BinaryShrink>());
@@ -341,7 +345,8 @@ TEST(ConversationDigestTest, NoCrawlIssuesARectangleTwice) {
           crawler->name() == "slice-cover" ||
           (crawler->name() == "hybrid" &&
            !static_cast<const HybridCrawler&>(*crawler).options().lazy);
-      for (uint32_t batch_size : {1u, 4u, 0u}) {  // 0: auto
+      // Batch 8 plans all of a small eager pass in one round.
+      for (uint32_t batch_size : {1u, 4u, 8u, 0u}) {  // 0: auto
         const Repeats repeats = CountRepeats(
             crawler.get(), space.data,
             space.predicate.has_value() ? &plan : nullptr, batch_size);
@@ -350,11 +355,8 @@ TEST(ConversationDigestTest, NoCrawlIssuesARectangleTwice) {
                                   space.label + " @ batch " +
                                   std::to_string(batch_size);
         EXPECT_EQ(repeats.others, 0u) << where;
-        if (!eager) {
-          EXPECT_EQ(repeats.pinned, 0u) << where;
-        } else if (space.eager_pinned.has_value()) {
-          EXPECT_EQ(repeats.pinned, *space.eager_pinned) << where;
-        }
+        EXPECT_EQ(repeats.slices, eager ? space.eager_slices : size_t{0})
+            << where;
       }
     }
   }
