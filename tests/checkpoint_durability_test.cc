@@ -352,6 +352,7 @@ TEST(CheckpointDurabilityTest, ItemsBreakingTheDriverInvariantsFailTyped) {
            "item node 2 3 3 1 5 0 119",    // level 2 leaves C2 free
            "item node 3 3 3 2 2 0 119",    // level past the categoricals
            "item leaf 0 1 4 1 5 0 119",    // unknown kind
+           "item slice 1 2 2 1 5 0 119",   // a slice of the root
        }) {
     SCOPED_TRACE(bad);
     const std::string text = WithOnlyItem(hybrid.serialized, bad, &line);
