@@ -11,6 +11,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/delta_crawl.h"
 #include "core/slice_engine.h"
 #include "data/csv_reader.h"
 #include "util/macros.h"
@@ -133,12 +134,6 @@ void AppendQueryTokens(const Query& q, std::string* out) {
   }
 }
 
-void EncodeQueryTokens(const Query& q, std::ostream* out) {
-  std::string tokens;
-  AppendQueryTokens(q, &tokens);
-  *out << tokens;
-}
-
 Status DecodeQueryTokens(std::istream* in, const SchemaPtr& schema,
                          Query* out) {
   Query q = Query::FullSpace(schema);
@@ -174,18 +169,41 @@ void AppendTupleTokens(const Tuple& t, std::string* out) {
   }
 }
 
-void EncodeTupleTokens(const Tuple& t, std::ostream* out) {
-  std::string tokens;
-  AppendTupleTokens(t, &tokens);
-  *out << tokens;
-}
-
 Status DecodeTupleTokens(std::istream* in, size_t arity, Tuple* out) {
   std::vector<Value> values(arity);
   for (auto& v : values) {
     if (!(*in >> v)) return Status::InvalidArgument("malformed tuple");
   }
   *out = Tuple(std::move(values));
+  return Status::OK();
+}
+
+void AppendBagLines(const std::vector<ReturnedTuple>& bag, std::string* out) {
+  for (const ReturnedTuple& rt : bag) {
+    *out += "bag ";
+    AppendDecimal(rt.hidden_id, out);
+    *out += ' ';
+    AppendTupleTokens(rt.tuple, out);
+    *out += '\n';
+  }
+}
+
+Status DecodeBagLines(CheckpointReader* in, uint64_t count, size_t arity,
+                      std::vector<ReturnedTuple>* bag) {
+  std::string line;
+  for (uint64_t i = 0; i < count; ++i) {
+    HDC_RETURN_IF_ERROR(in->Next(&line));
+    std::istringstream tokens(line);
+    std::string tag;
+    ReturnedTuple rt;
+    if (!(tokens >> tag >> rt.hidden_id) || tag != "bag") {
+      return in->Error("malformed bag line: " + line);
+    }
+    if (Status s = DecodeTupleTokens(&tokens, arity, &rt.tuple); !s.ok()) {
+      return in->Error(s.message());
+    }
+    bag->push_back(std::move(rt));
+  }
   return Status::OK();
 }
 
@@ -263,6 +281,8 @@ Status MakeCrawlStateForAlgorithm(const std::string& algorithm,
         schema, algorithm,
         algorithm == "dfs" ? FrontierItem::Kind::kNode
                            : FrontierItem::Kind::kRank);
+  } else if (algorithm == CrawlRecord::kAlgorithm) {
+    *out = std::make_shared<CrawlRecord>(schema);
   } else {
     return Status::InvalidArgument("unknown algorithm '" + algorithm + "'");
   }

@@ -3,8 +3,8 @@
 // Durable crawl state. A crawl interrupted by a query budget — or killed
 // mid-round — holds a resumable CrawlState (core/crawler.h). Every file
 // that persists one (a checkpoint, a session checkpoint, a write-ahead
-// frontier log) uses the one text format below, and LoadCheckpoint is the
-// one reader of it. Format (version 3):
+// frontier log, a delta crawl's record) uses the one text format below,
+// and LoadCheckpoint is the one reader of it. Format (version 3):
 //
 //   hdc-crawl-state 3
 //   session <escaped label> <remaining | unlimited>   # session files only
@@ -23,6 +23,9 @@
 //   slice <position> <value> O     # overflowing: one bit
 //   slice <position> <value> R <m> # resolved: its m-tuple bag follows
 //   bag <row id> <v1> <v2> ...
+//   version <db_version>           # crawl records only (core/delta_crawl.h)
+//   region <hash> <m> <extents>    # a resolved rectangle: its m-tuple answer
+//   bag <row id> <v1> <v2> ...     # follows as bag lines
 //   item <node|rank> <level> <extents>  # the frontier stack, bottom first
 //   frontier-end
 //   snapshot-end
@@ -75,6 +78,7 @@
 
 #include "core/crawler.h"
 #include "query/query.h"
+#include "server/response.h"
 
 namespace hdc {
 
@@ -171,10 +175,6 @@ void AppendDecimal(Int v, std::string* out) {
 /// newline).
 void AppendQueryTokens(const Query& q, std::string* out);
 
-/// Writes the 2d extent values of `q` as space-separated tokens (no
-/// newline).
-void EncodeQueryTokens(const Query& q, std::ostream* out);
-
 /// Reads 2d extent values from `in` into a query over `schema`.
 Status DecodeQueryTokens(std::istream* in, const SchemaPtr& schema,
                          Query* out);
@@ -182,11 +182,17 @@ Status DecodeQueryTokens(std::istream* in, const SchemaPtr& schema,
 /// Appends one tuple's values as space-separated tokens (no newline).
 void AppendTupleTokens(const Tuple& t, std::string* out);
 
-/// Writes one tuple's values as space-separated tokens (no newline).
-void EncodeTupleTokens(const Tuple& t, std::ostream* out);
-
 /// Reads `arity` values from `in`.
 Status DecodeTupleTokens(std::istream* in, size_t arity, Tuple* out);
+
+/// Appends one `bag <row id> <values>` line per tuple of a resolved answer
+/// (a slice entry's or a crawl-record region's).
+void AppendBagLines(const std::vector<ReturnedTuple>& bag, std::string* out);
+
+/// Reads `count` bag lines into `bag`. The count never sizes `bag`: a count
+/// past the end of input is a typed truncation error.
+Status DecodeBagLines(CheckpointReader* in, uint64_t count, size_t arity,
+                      std::vector<ReturnedTuple>* bag);
 
 /// Returns the rest of `line` after a "tag " prefix, or an error.
 Status ExpectTagged(const std::string& line, const std::string& tag,

@@ -11,7 +11,8 @@
 //     space by resolved query rectangles, each with its answer and the
 //     answer's 64-bit truncated SHA-256 content hash — the crawl's
 //     conditional-request fingerprints (the ETag idiom of the related
-//     hidden-web crawlers).
+//     hidden-web crawlers). Each pass over the cover is one frontier run
+//     (core/frontier.h).
 //
 //  2. DeltaCrawl seeds an AnswerCache with the record's entries at the
 //     record's db_version and replays the rectangles through a
@@ -37,9 +38,12 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/crawler.h"
 #include "data/tuple.h"
 #include "query/query.h"
 #include "server/response.h"
@@ -57,19 +61,34 @@ struct CrawlRecordRegion {
 };
 
 /// A completed crawl, replayable: disjoint rectangles covering the data
-/// space, consistent as of `db_version`.
-struct CrawlRecord {
-  SchemaPtr schema;
+/// space, consistent as of `db_version`. It is the delta-crawl family's
+/// crawl state (see persistence below); `queries_issued` counts the
+/// lifetime billed queries spent producing and updating it.
+class CrawlRecord : public CrawlState {
+ public:
+  static constexpr const char* kAlgorithm = "crawl-record";
+
+  /// An empty record over a one-point placeholder space, until
+  /// BuildCrawlRecord, DeltaCrawl or LoadCrawlRecord assigns it.
+  CrawlRecord();
+  explicit CrawlRecord(SchemaPtr schema);
+
   /// The server's db_version the regions are a consistent snapshot of.
   uint64_t db_version = 0;
-  /// Lifetime billed queries spent producing and updating this record.
-  uint64_t queries_spent = 0;
   std::vector<CrawlRecordRegion> regions;
 
   /// All extracted rows as (hidden_id, tuple), unordered.
   std::vector<std::pair<uint64_t, Tuple>> Extraction() const;
   /// Total tuples across regions.
   uint64_t TupleCount() const;
+
+  /// The version line, the regions, then any items; all count as changed.
+  size_t AppendFrontier(bool changed_only, std::string* out) const override;
+  Status DecodeFrontier(CheckpointReader* in) override;
+
+ protected:
+  /// Decodes a region and its bag lines, re-verifying its content hash.
+  Status DecodeLine(CheckpointReader* in, const std::string& line) override;
 };
 
 /// Row-level difference between two records, keyed by hidden id.
@@ -113,14 +132,17 @@ struct DeltaCrawlStats {
 /// Full partition crawl producing a replayable record. Converges under
 /// mid-crawl mutations (see file comment); fails Unsolvable when some
 /// point holds more than k tuples, Unavailable when the server keeps
-/// mutating faster than passes complete.
+/// mutating faster than passes complete, and with the server's own status
+/// when a query fails (e.g. an exhausted BudgetServer). `record` is
+/// assigned only on success.
 Status BuildCrawlRecord(HiddenDbServer* server, CrawlRecord* record,
                         DeltaCrawlStats* stats = nullptr);
 
 /// Incremental re-crawl against `prior`. On success `updated` holds the
 /// new consistent record (its regions refine or replace prior ones),
 /// `delta` the exact insert/delete/update sets between the two
-/// extractions, and `stats` the query bill. `prior` and `updated` may not
+/// extractions, and `stats` the query bill. Fails like BuildCrawlRecord,
+/// leaving `updated` and `delta` unassigned. `prior` and `updated` may not
 /// alias.
 Status DeltaCrawl(HiddenDbServer* server, const CrawlRecord& prior,
                   CrawlRecord* updated, CrawlDelta* delta,
@@ -132,29 +154,19 @@ Status DeltaCrawl(HiddenDbServer* server, const CrawlRecord& prior,
 CrawlDelta DiffRecords(const CrawlRecord& before, const CrawlRecord& after);
 
 // --- persistence -------------------------------------------------------
-// Line-oriented text format in the checkpoint.h family:
-//   hdc-crawl-record 1
-//   schema <spec>
+// A record's frontier section in the crawl-state format (core/checkpoint.h):
 //   version <db_version>
-//   queries <queries_spent>
-//   regions <count>
-//   region <content hash> <tuple count> <lo hi>...   (one per region)
-//   <hidden_id> <v1> ... <vd>                        (one per tuple)
-// Content hashes are re-verified against the decoded tuples on load, so a
-// corrupted record is rejected instead of silently seeding a wrong cache.
-// Counts and header tokens parse strictly, and no count read from the file
-// sizes a container: a damaged record is a typed InvalidArgument, never a
-// throw or a huge allocation.
+//   region <content hash> <m> <extents>   # one per region, then
+//   bag <row id> <v1> ... <vd>            # its m answer tuples
+// Save a record with SaveCheckpoint or SaveCheckpointFile. Content hashes
+// are re-verified against the decoded tuples on load, so a corrupted
+// record is rejected instead of silently seeding a wrong cache. As for
+// every crawl-state file, a damaged record is a typed error, never a throw
+// or a huge allocation.
 
-Status SaveCrawlRecord(const CrawlRecord& record, std::ostream* out);
-/// Crash-atomic (WriteFileDurably: temp file, fsync, rename): a crash
-/// mid-save leaves the old record or the new one, never a torn file.
-Status SaveCrawlRecordFile(const CrawlRecord& record,
-                           const std::string& path);
-/// `schema` must equal the recorded spec exactly (records are bound to the
-/// space they were crawled in).
+/// LoadCheckpoint, then a typed check that the state is a finished crawl
+/// record. `schema` must match the recorded one or be compatible with it;
+/// the record is then bound to the recorded schema.
 Status LoadCrawlRecord(std::istream* in, SchemaPtr schema, CrawlRecord* out);
-Status LoadCrawlRecordFile(const std::string& path, SchemaPtr schema,
-                           CrawlRecord* out);
 
 }  // namespace hdc

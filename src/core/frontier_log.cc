@@ -79,7 +79,7 @@ Status FrontierLogWriter::WriteSnapshot(const CrawlState& state) {
     return Status::Internal("cannot reopen frontier log for append: " +
                             path_);
   }
-  bytes_ = contents.size();
+  bytes_ = snapshot_bytes_ = contents.size();
   have_snapshot_ = true;
   ++seq_;
   changed_.clear();
@@ -145,7 +145,11 @@ Status FrontierLogWriter::Commit(const CrawlState& state) {
       return Status::OK();
     }
 
-    if (bytes_ >= options_.rotate_bytes) {
+    // Rotate once the file has passed rotate_bytes and the records since
+    // the last snapshot are at least as large as it: a rewrite then costs
+    // no more than the appends it retires, however large the state.
+    if (bytes_ >= options_.rotate_bytes &&
+        bytes_ - snapshot_bytes_ >= snapshot_bytes_) {
       written = WriteSnapshot(state);
     } else {
       const uint64_t seq = seq_ + 1;

@@ -70,8 +70,11 @@
 namespace hdc {
 
 struct FrontierLogOptions {
-  /// Rewrite the log as a fresh snapshot once it grows past this many
-  /// bytes (compaction). The rewrite is crash-atomic.
+  /// Rewrite the log as a fresh snapshot (compaction) once it grows past
+  /// this many bytes and the records appended since the last snapshot are
+  /// at least as large as that snapshot, so a state that encodes larger
+  /// than this is not rewritten at every commit. The rewrite is
+  /// crash-atomic.
   uint64_t rotate_bytes = 4ull << 20;
 
   /// fsync after every commit. Turning this off keeps the format and the
@@ -133,7 +136,8 @@ class FrontierLogWriter {
   std::string path_;
   FrontierLogOptions options_;
   int fd_ = -1;
-  uint64_t bytes_ = 0;
+  uint64_t bytes_ = 0;           // the file's size
+  uint64_t snapshot_bytes_ = 0;  // the size of its snapshot segment
   uint64_t seq_ = 0;
   bool have_snapshot_ = false;
   uint64_t last_queries_ = 0;

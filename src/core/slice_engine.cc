@@ -117,7 +117,10 @@ class SliceRules : public RankShrinkRules {
  public:
   SliceRules(CrawlContext* ctx, SliceEngineState* st,
              const RankShrinkOptions& rank)
-      : RankShrinkRules(ctx, st, rank), st_(st) {}
+      : RankShrinkRules(ctx, st, rank),
+        st_(st),
+        root_pins_(static_cast<size_t>(
+            FirstFree(st->root, st->cat_order) - st->cat_order.begin())) {}
 
   size_t RoundWidth() override {
     // The eager pass's lookups are independent of the stack: its rounds
@@ -184,10 +187,9 @@ class SliceRules : public RankShrinkRules {
           FrontierItem{FrontierItem::Kind::kRank, std::move(item->q), 0});
       return Step::kDone;
     }
-    if (item->level == 1 || item->q == st_->root) {
-      // The node query *is* the slice query, which overflowed (at level 1,
-      // and along a plan root's pinned attributes) — expand without
-      // spending a query.
+    if (IsOwnSlice(*item)) {
+      // The node query *is* the slice query, which overflowed — expand
+      // without spending a query.
       ExpandNode(*item, st_->cat_order);
       return Step::kDone;
     }
@@ -217,7 +219,7 @@ class SliceRules : public RankShrinkRules {
     if (item.kind == FrontierItem::Kind::kSlice) return true;  // eager pass
     if (outcome == CrawlContext::Outcome::kOverflow &&
         FirstFree(item.q, st_->cat_order) == st_->cat_order.end() &&
-        Lookup(item) == item.q) {
+        IsOwnSlice(item)) {
       // The slice query was this very rectangle and pins every categorical
       // (one categorical attribute, or a plan root pinning the others):
       // expand its rank-shrink children from the overflowing answer in hand
@@ -247,6 +249,13 @@ class SliceRules : public RankShrinkRules {
   std::pair<size_t, Value> SliceOf(const FrontierItem& node) const {
     const size_t pos = node.level - 1;
     return {pos, node.q.lo(st_->cat_order[pos])};
+  }
+
+  /// True when a node's query is its slice query: the crawl root pins
+  /// every attribute cat_order[0..level-2] (always at level 1), so scoping
+  /// the node's slice to the root gives the node's own rectangle.
+  bool IsOwnSlice(const FrontierItem& node) const {
+    return node.level <= root_pins_ + 1;
   }
 
   /// `slice`, or one shared key when its query is the crawl root: all root
@@ -279,6 +288,8 @@ class SliceRules : public RankShrinkRules {
   }
 
   SliceEngineState* st_;
+  /// How many leading attributes of cat_order the crawl root pins.
+  const size_t root_pins_;
   std::vector<std::pair<size_t, Value>> planned_;  // this round's lookups
   std::vector<FrontierItem> parked_;
   size_t pos_ = 0;  // the eager pass's scan
@@ -339,13 +350,7 @@ size_t SliceEngineState::AppendFrontier(bool changed_only,
       *out += " R ";
       AppendDecimal(entry.bag.size(), out);
       *out += '\n';
-      for (const ReturnedTuple& rt : entry.bag) {
-        *out += "bag ";
-        AppendDecimal(rt.hidden_id, out);
-        *out += ' ';
-        AppendTupleTokens(rt.tuple, out);
-        *out += '\n';
-      }
+      AppendBagLines(entry.bag, out);
     }
   }
 
@@ -428,22 +433,8 @@ Status SliceEngineState::DecodeLine(CheckpointReader* in,
   }
   entry.state = SliceEntry::State::kResolved;
   entry.bag.clear();
-  const size_t arity = extracted.schema()->num_attributes();
-  std::string bag_line;
-  for (size_t i = 0; i < count; ++i) {
-    HDC_RETURN_IF_ERROR(in->Next(&bag_line));
-    std::istringstream bag_tokens(bag_line);
-    std::string bag_tag;
-    uint64_t hidden_id = 0;
-    if (!(bag_tokens >> bag_tag >> hidden_id) || bag_tag != "bag") {
-      return in->Error("malformed bag line: " + bag_line);
-    }
-    Tuple t;
-    Status s = DecodeTupleTokens(&bag_tokens, arity, &t);
-    if (!s.ok()) return in->Error(s.message());
-    entry.bag.push_back(ReturnedTuple{std::move(t), hidden_id});
-  }
-  return Status::OK();
+  return DecodeBagLines(in, count, extracted.schema()->num_attributes(),
+                        &entry.bag);
 }
 
 Status SliceEngineState::CheckItem(const FrontierItem& item) const {

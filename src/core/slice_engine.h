@@ -13,8 +13,8 @@
 //     filtering the slice's cached bag (no query);
 //   - a child whose slice overflowed is visited: its own query is issued
 //     (except where the node query *is* the slice query: at level 1, and
-//     along a plan root's pinned attributes) and, on overflow, expanded one
-//     level further;
+//     wherever a plan root pins every attribute above the slice's) and, on
+//     overflow, expanded one level further;
 //   - a node with every categorical attribute pinned is the root of a
 //     numeric sub-problem and is handed to rank-shrink (Section 5). With no
 //     numeric attributes that sub-problem is a single point query, which

@@ -50,9 +50,9 @@ TEST(CheckpointCodecTest, QueryRoundTripProperty) {
   Rng rng(7);
   for (int trial = 0; trial < 500; ++trial) {
     Query original = RandomQuery(schema, &rng);
-    std::ostringstream out;
-    EncodeQueryTokens(original, &out);
-    std::istringstream in(out.str());
+    std::string text;
+    AppendQueryTokens(original, &text);
+    std::istringstream in(text);
     Query decoded = Query::FullSpace(schema);
     ASSERT_TRUE(DecodeQueryTokens(&in, schema, &decoded).ok())
         << original.ToString();
@@ -66,9 +66,9 @@ TEST(CheckpointCodecTest, TupleRoundTripProperty) {
     std::vector<Value> values(1 + rng.UniformU64(6));
     for (auto& v : values) v = rng.UniformInt(-1000000000, 1000000000);
     Tuple original(values);
-    std::ostringstream out;
-    EncodeTupleTokens(original, &out);
-    std::istringstream in(out.str());
+    std::string text;
+    AppendTupleTokens(original, &text);
+    std::istringstream in(text);
     Tuple decoded;
     ASSERT_TRUE(DecodeTupleTokens(&in, values.size(), &decoded).ok());
     ASSERT_EQ(decoded, original);

@@ -156,10 +156,10 @@ std::vector<DigestCase> Cases() {
         "d6529c4d100d7c6954643b857a7ee4f2869443233cfd2b6e4e50c48dbe0983a1",
         "7c7e9a6a5561d2aa45c808ac9f80c68e07c0872f0e39bcd4c26f4f92e6809e14"}},
       {"hybrid_mix3_plan", hybrid, mix3, pin_first_and_range,
-       {"856f7bd96f7d644b76c668a9d0b6fc9284e4cfc19d6d15ef0741bcc0a57e5b5d",
-        "2131fe4ba309a710af0fda8c40b33b3be8ae6180b3d339104fb9349e490702e0",
-        "7f3d91b8d20c2b0c145849bf9734137fb38e55f2a9462fb8d5b6df9ff919c2ea",
-        "385d9e1a048bb80d2b431080915917eb472fb052c16039b56deb9c1b755c57a3"}},
+       {"74ff1eb39ef51e6fbe66fe2bee2449c2fef451411468f833dacfa698522a6528",
+        "2da4aa5d925b1bb96b0ec589f7903148f83d4a521325dd2a5c30eb45c692609d",
+        "cc46c0d63d6f13a0d151806d35485d82c0a6e43075acc8b36fdf3cd4a4e2fa96",
+        "0b2c0e72a4c328541b0bacc481eb25f7e5e5ba4e90113c80f7b6bfa5d02a4848"}},
       {"eager_hybrid_mix2", EagerHybrid, mix2, std::nullopt,
        {"e08c4c50e613a2d59beb8103f58a9eee515952fbeec54cc1cbaf0a9ccc3d2554",
         "57fe54184d3c3a8f2833d9980361f10c9be418a69b49b0d91fe7daae721824a7",
@@ -286,7 +286,8 @@ Repeats CountRepeats(Crawler* crawler, const Dataset& data,
 // root that pins every other categorical attribute — rank-shrink asks it
 // again. Nothing else may repeat, eager or not, at any batch size. A plan
 // root pinning two attributes is the slice query of both; it is asked
-// once.
+// once. Under a plan root pinning the first attribute, a level-2 node is
+// its own slice query; it is asked once too.
 TEST(ConversationDigestTest, NoCrawlIssuesARectangleTwice) {
   struct Space {
     std::string label;
@@ -300,6 +301,8 @@ TEST(ConversationDigestTest, NoCrawlIssuesARectangleTwice) {
   two_pins.AddIn(0, {2}).AddIn(1, {3});
   CrawlPredicate two_heavy_pins;  // Zipf-heavy values: the root overflows
   two_heavy_pins.AddIn(0, {1}).AddIn(1, {1});
+  CrawlPredicate one_heavy_pin;  // level-2 nodes are their slice queries
+  one_heavy_pin.AddIn(0, {1});
   const std::vector<Space> spaces = {
       {"numeric (0 categorical)", Numeric(2, 400, 128, 31)},
       {"categorical {6}", Categorical({6}, 40, 41)},
@@ -311,6 +314,8 @@ TEST(ConversationDigestTest, NoCrawlIssuesARectangleTwice) {
       {"mixed {3, 4, 3} + 2 numeric", Mixed({3, 4, 3}, 2, 900, 36)},
       {"categorical {5, 6, 4}, plan C1 = 1, C2 = 1",
        Categorical({5, 6, 4}, 600, 34), two_heavy_pins},
+      {"categorical {5, 6, 4}, plan C1 = 1", Categorical({5, 6, 4}, 600, 34),
+       one_heavy_pin},
       // The plan root pins every categorical: the one eager repeat.
       {"mixed {4, 5} + 1 numeric, plan C1 = 2, C2 = 3",
        Mixed({4, 5}, 1, 700, 35), two_pins, 1},

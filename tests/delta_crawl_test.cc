@@ -3,9 +3,9 @@
 // Delta crawl end-to-end: for every mutation script the emitted
 // insert/delete/update sets must exactly equal the diff a full re-crawl
 // would compute, while billing only the changed subspace. Also covers the
-// convergence loop under mid-crawl scheduled mutations and the crawl
-// record save/load codec (including corruption rejection, hostile counts
-// and crash-atomic file saves).
+// convergence loop under mid-crawl scheduled mutations, a server that
+// fails mid-pass, and the crawl record as a crawl-state file (including
+// corruption rejection, hostile counts and crash-atomic file saves).
 #include "core/delta_crawl.h"
 
 #include <gtest/gtest.h>
@@ -13,12 +13,17 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.h"
+#include "core/crawlers.h"
 #include "server/answer_cache.h"
+#include "server/decorators.h"
+#include "server/local_server.h"
 #include "server/mutating_server.h"
 
 namespace hdc {
@@ -83,7 +88,7 @@ TEST(BuildCrawlRecordTest, ExtractsEverythingIntoResolvedRegions) {
   EXPECT_EQ(record.TupleCount(), 20u);
   EXPECT_EQ(stats.passes, 1u);
   EXPECT_GT(stats.billed_queries, 0u);
-  EXPECT_EQ(record.queries_spent, stats.billed_queries);
+  EXPECT_EQ(record.queries_issued, stats.billed_queries);
   for (const CrawlRecordRegion& region : record.regions) {
     EXPECT_FALSE(region.answer.overflow);
     EXPECT_EQ(region.content_hash, HashResponse(region.answer));
@@ -142,7 +147,7 @@ TEST(DeltaCrawlTest, EmitsExactInsertDeleteUpdateSets) {
     EXPECT_EQ(updated.db_version, server.db_version());
     // The incremental pass must be cheaper than the full re-crawl it
     // replaces (the bench quantifies by how much).
-    EXPECT_LT(stats.billed_queries, prior.queries_spent);
+    EXPECT_LT(stats.billed_queries, prior.queries_issued);
   }
 }
 
@@ -193,6 +198,34 @@ TEST(DeltaCrawlTest, RejectsEmptyOrIncompatiblePrior) {
   ASSERT_TRUE(BuildCrawlRecord(&two_attrs, &other).ok());
   EXPECT_TRUE(
       DeltaCrawl(&server, other, &updated, &delta).IsInvalidArgument());
+}
+
+TEST(DeltaCrawlTest, ServerFailureMidPassIsReturnedAndAssignsNothing) {
+  MutatingLocalServer server(TinyData(), 4);
+  CrawlRecord prior;
+  ASSERT_TRUE(BuildCrawlRecord(&server, &prior).ok());
+  ASSERT_TRUE(server.Apply({Mutation::Insert(Tuple({42}))}).ok());
+
+  // Every prior region costs one conditional re-ask: the budget runs dry
+  // partway through the first pass.
+  BudgetServer budget(&server, 3);
+  CrawlRecord updated;
+  updated.db_version = 777;
+  CrawlDelta delta;
+  delta.deleted.push_back({999, Tuple({1})});
+  const Status s = DeltaCrawl(&budget, prior, &updated, &delta);
+  EXPECT_TRUE(s.IsResourceExhausted()) << s.ToString();
+  EXPECT_EQ(budget.remaining(), 0u);
+  EXPECT_EQ(updated.db_version, 777u);
+  EXPECT_TRUE(updated.regions.empty());
+  ASSERT_EQ(delta.size(), 1u);
+  EXPECT_EQ(delta.deleted[0].hidden_id, 999u);
+
+  BudgetServer dry(&server, 2);
+  CrawlRecord built;
+  EXPECT_TRUE(BuildCrawlRecord(&dry, &built).IsResourceExhausted());
+  EXPECT_TRUE(built.regions.empty());
+  EXPECT_EQ(built.queries_issued, 0u);
 }
 
 TEST(MutatingServerTest, RejectsTuplesOutsideTheSchemaDomains) {
@@ -278,6 +311,19 @@ TEST(BuildCrawlRecordTest, OverflowingPointIsUnsolvable) {
   EXPECT_TRUE(BuildCrawlRecord(&server, &record).IsUnsolvable());
 }
 
+/// `record` saved as a crawl-state file.
+std::string Saved(const CrawlRecord& record) {
+  std::ostringstream out;
+  HDC_CHECK_OK(SaveCheckpoint(record, *record.extracted.schema(), &out));
+  return out.str();
+}
+
+Status LoadRecordText(const std::string& text, SchemaPtr schema,
+                      CrawlRecord* out) {
+  std::istringstream in(text);
+  return LoadCrawlRecord(&in, std::move(schema), out);
+}
+
 TEST(CrawlRecordCodecTest, SaveLoadRoundtrips) {
   MutatingLocalServer server(TinyData(), 4);
   CrawlRecord record;
@@ -287,14 +333,19 @@ TEST(CrawlRecordCodecTest, SaveLoadRoundtrips) {
   CrawlDelta delta;
   ASSERT_TRUE(DeltaCrawl(&server, record, &updated, &delta).ok());
 
-  std::ostringstream out;
-  ASSERT_TRUE(SaveCrawlRecord(updated, &out).ok());
+  const std::string text = Saved(updated);
+  // Only bag lines grow with the row count: the snapshot repeats no row.
+  EXPECT_NE(text.find("\nalgorithm crawl-record\n"), std::string::npos);
+  EXPECT_NE(text.find("\nseen 0\nextracted 0\ncollected 0\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("\nversion " + std::to_string(updated.db_version) +
+                      "\n"),
+            std::string::npos);
 
-  std::istringstream in(out.str());
   CrawlRecord loaded;
-  ASSERT_TRUE(LoadCrawlRecord(&in, updated.schema, &loaded).ok());
+  ASSERT_TRUE(LoadRecordText(text, updated.extracted.schema(), &loaded).ok());
   EXPECT_EQ(loaded.db_version, updated.db_version);
-  EXPECT_EQ(loaded.queries_spent, updated.queries_spent);
+  EXPECT_EQ(loaded.queries_issued, updated.queries_issued);
   ASSERT_EQ(loaded.regions.size(), updated.regions.size());
   for (size_t i = 0; i < loaded.regions.size(); ++i) {
     EXPECT_EQ(loaded.regions[i].rectangle, updated.regions[i].rectangle);
@@ -312,46 +363,11 @@ TEST(CrawlRecordCodecTest, SaveLoadRoundtrips) {
   EXPECT_TRUE(nothing.empty());
 }
 
-TEST(CrawlRecordCodecTest, RejectsCorruptionAndWrongSchema) {
-  MutatingLocalServer server(TinyData(), 4);
-  CrawlRecord record;
-  ASSERT_TRUE(BuildCrawlRecord(&server, &record).ok());
-  std::ostringstream out;
-  ASSERT_TRUE(SaveCrawlRecord(record, &out).ok());
-  const std::string text = out.str();
-
-  {
-    // Flip one tuple value: the recorded content hash must catch it.
-    std::string corrupt = text;
-    const size_t pos = corrupt.rfind("\n10 ");
-    ASSERT_NE(pos, std::string::npos);
-    corrupt[pos + 1] = '9';
-    std::istringstream in(corrupt);
-    CrawlRecord loaded;
-    EXPECT_TRUE(LoadCrawlRecord(&in, record.schema, &loaded)
-                    .IsInvalidArgument());
-  }
-  {
-    // A different schema is refused up front.
-    std::istringstream in(text);
-    CrawlRecord loaded;
-    EXPECT_TRUE(
-        LoadCrawlRecord(&in, Schema::NumericBounded({{0, 100}, {0, 1}}),
-                        &loaded)
-            .IsInvalidArgument());
-  }
-  {
-    std::istringstream in("not a record\n");
-    CrawlRecord loaded;
-    EXPECT_TRUE(LoadCrawlRecord(&in, record.schema, &loaded)
-                    .IsInvalidArgument());
-  }
-}
-
 /// `text` with the first line that starts with `tag` replaced by `line`.
 std::string WithLine(std::string text, const std::string& tag,
                      const std::string& line) {
   const size_t from = text.find("\n" + tag) + 1;
+  HDC_CHECK(from != 0);
   return text.replace(from, text.find('\n', from) - from, line);
 }
 
@@ -360,15 +376,42 @@ std::string SavedTinyRecord() {
   MutatingLocalServer server(TinyData(), 4);
   CrawlRecord record;
   HDC_CHECK_OK(BuildCrawlRecord(&server, &record));
-  std::ostringstream out;
-  HDC_CHECK_OK(SaveCrawlRecord(record, &out));
-  return out.str();
+  return Saved(record);
 }
 
 Status LoadTinyRecord(const std::string& text) {
-  std::istringstream in(text);
   CrawlRecord loaded;
-  return LoadCrawlRecord(&in, TinyData()->schema(), &loaded);
+  return LoadRecordText(text, TinyData()->schema(), &loaded);
+}
+
+TEST(CrawlRecordCodecTest, RejectsCorruptionAndWrongSchema) {
+  const std::string text = SavedTinyRecord();
+  {
+    // Flip one tuple value (row 10 holds 50): the recorded content hash
+    // must catch it.
+    const Status s = LoadTinyRecord(WithLine(text, "bag 10 ", "bag 10 51"));
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_NE(s.message().find("content hash mismatch"), std::string::npos)
+        << s.ToString();
+  }
+  {
+    // An incompatible schema is refused up front.
+    CrawlRecord loaded;
+    EXPECT_TRUE(LoadRecordText(text,
+                               Schema::NumericBounded({{0, 100}, {0, 1}}),
+                               &loaded)
+                    .IsInvalidArgument());
+  }
+  {
+    // A compatible one loads, bound to the recorded schema.
+    CrawlRecord loaded;
+    ASSERT_TRUE(
+        LoadRecordText(text, Schema::NumericBounded({{0, 1000}}), &loaded)
+            .ok());
+    EXPECT_EQ(*loaded.extracted.schema(), *TinyData()->schema());
+    EXPECT_EQ(loaded.TupleCount(), 20u);
+  }
+  EXPECT_TRUE(LoadTinyRecord("not a record\n").IsInvalidArgument());
 }
 
 TEST(CrawlRecordCodecTest, UnparsableVersionIsInvalidArgument) {
@@ -377,14 +420,8 @@ TEST(CrawlRecordCodecTest, UnparsableVersionIsInvalidArgument) {
           .IsInvalidArgument());
 }
 
-TEST(CrawlRecordCodecTest, HugeRegionCountIsInvalidArgument) {
-  EXPECT_TRUE(LoadTinyRecord(WithLine(SavedTinyRecord(), "regions ",
-                                      "regions 18446744073709551615"))
-                  .IsInvalidArgument());
-}
-
 TEST(CrawlRecordCodecTest, HugeRegionTupleCountIsInvalidArgument) {
-  // The first region header, claiming 2^62 tuples.
+  // The first region line, claiming 2^62 tuples.
   const std::string text = SavedTinyRecord();
   const size_t from = text.find("\nregion ") + 1;
   std::istringstream header(text.substr(from, text.find('\n', from) - from));
@@ -397,21 +434,60 @@ TEST(CrawlRecordCodecTest, HugeRegionTupleCountIsInvalidArgument) {
                   .IsInvalidArgument());
 }
 
+TEST(CrawlRecordCodecTest, OrdinaryCheckpointIsNotARecord) {
+  SchemaPtr schema = TinyData()->schema();
+  LocalServer server(TinyData(), 4);
+  RankShrink crawler;
+  CrawlOptions options;
+  options.max_queries = 2;
+  CrawlResult partial = crawler.Crawl(&server, options);
+  ASSERT_TRUE(partial.status.IsResourceExhausted());
+  std::ostringstream out;
+  ASSERT_TRUE(SaveCheckpoint(*partial.resume_state, *schema, &out).ok());
+  CrawlRecord loaded;
+  EXPECT_TRUE(LoadRecordText(out.str(), schema, &loaded).IsInvalidArgument());
+  EXPECT_TRUE(loaded.regions.empty());
+}
+
+TEST(CrawlRecordCodecTest, NoCrawlerResumesARecord) {
+  std::istringstream in(SavedTinyRecord());
+  std::shared_ptr<CrawlState> state;
+  ASSERT_TRUE(LoadCheckpoint(&in, TinyData()->schema(), &state).ok());
+  ASSERT_EQ(state->algorithm(), CrawlRecord::kAlgorithm);
+  LocalServer server(TinyData(), 4);
+  BinaryShrink binary_shrink;
+  RankShrink rank_shrink;
+  DfsCrawler dfs;
+  SliceCoverCrawler slice_cover(/*lazy=*/false);
+  SliceCoverCrawler lazy_slice_cover(/*lazy=*/true);
+  HybridCrawler hybrid;
+  for (Crawler* crawler :
+       std::vector<Crawler*>{&binary_shrink, &rank_shrink, &dfs, &slice_cover,
+                             &lazy_slice_cover, &hybrid}) {
+    SCOPED_TRACE(crawler->name());
+    const CrawlResult result = crawler->Resume(&server, state);
+    EXPECT_TRUE(result.status.IsInvalidArgument()) << result.status.ToString();
+    EXPECT_EQ(server.queries_served(), 0u);
+  }
+}
+
 TEST(CrawlRecordCodecTest, OverwritingARecordFileLoadsTheNewOne) {
   const std::string path = ::testing::TempDir() + "/hdc_crawl_record.txt";
   MutatingLocalServer server(TinyData(), 4);
   CrawlRecord before;
   ASSERT_TRUE(BuildCrawlRecord(&server, &before).ok());
-  ASSERT_TRUE(SaveCrawlRecordFile(before, path).ok());
+  ASSERT_TRUE(
+      SaveCheckpointFile(before, *before.extracted.schema(), path).ok());
   ASSERT_TRUE(server.Apply({Mutation::Insert(Tuple({42}))}).ok());
   CrawlRecord after;
   CrawlDelta delta;
   ASSERT_TRUE(DeltaCrawl(&server, before, &after, &delta).ok());
   ASSERT_NE(after.db_version, before.db_version);
-  ASSERT_TRUE(SaveCrawlRecordFile(after, path).ok());
+  ASSERT_TRUE(SaveCheckpointFile(after, *after.extracted.schema(), path).ok());
 
+  std::ifstream in(path);
   CrawlRecord loaded;
-  ASSERT_TRUE(LoadCrawlRecordFile(path, after.schema, &loaded).ok());
+  ASSERT_TRUE(LoadCrawlRecord(&in, after.extracted.schema(), &loaded).ok());
   EXPECT_EQ(loaded.db_version, after.db_version);
   EXPECT_TRUE(DiffRecords(after, loaded).empty());
   std::remove(path.c_str());
@@ -422,7 +498,8 @@ TEST(CrawlRecordCodecTest, SaveIntoMissingDirectoryLeavesNoFile) {
   MutatingLocalServer server(TinyData(), 4);
   CrawlRecord record;
   ASSERT_TRUE(BuildCrawlRecord(&server, &record).ok());
-  const Status s = SaveCrawlRecordFile(record, dir + "/record.txt");
+  const Status s = SaveCheckpointFile(record, *record.extracted.schema(),
+                                      dir + "/record.txt");
   EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
   EXPECT_FALSE(std::filesystem::exists(dir));
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
 
 #include <csignal>
 #include <cstdio>
@@ -239,6 +240,56 @@ TEST(FrontierLogTest, RotationResnapshotsAndStaysReplayable) {
   EXPECT_TRUE(replayed->Finished());
   EXPECT_EQ(replayed->queries_issued, full.queries_issued);
   EXPECT_TRUE(Dataset::MultisetEquals(replayed->extracted, data));
+}
+
+TEST(FrontierLogTest, RotationWritesAtMostThreeTimesTheUnrotatedLog) {
+  Dataset data = MakeData(65);
+  auto shared = std::make_shared<Dataset>(data);
+  const uint64_t k = std::max<uint64_t>(8, data.MaxPointMultiplicity());
+  const std::string path = ::testing::TempDir() + "/hdc_flog_thrash.log";
+
+  // A hybrid crawl through a log rotating at `rotate_bytes`; returns the
+  // bytes it wrote. At each commit a new inode is a rewritten snapshot (the
+  // whole file is new), the same inode an append.
+  auto written = [&](uint64_t rotate_bytes) {
+    std::remove(path.c_str());
+    uint64_t total = 0, last_size = 0;
+    ino_t last_inode = 0;
+    FrontierLogOptions log_options;
+    log_options.rotate_bytes = rotate_bytes;
+    log_options.sync = false;
+    log_options.on_commit = [&](uint64_t) {
+      struct stat st;
+      HDC_CHECK(::stat(path.c_str(), &st) == 0);
+      const uint64_t size = static_cast<uint64_t>(st.st_size);
+      total += st.st_ino == last_inode ? size - last_size : size;
+      last_inode = st.st_ino;
+      last_size = size;
+    };
+    std::unique_ptr<FrontierLogWriter> log;
+    HDC_CHECK_OK(FrontierLogWriter::Open(path, log_options, &log));
+    LocalServer server(shared, k);
+    HybridCrawler crawler;
+    CrawlOptions options;
+    options.frontier_log = log.get();
+    const CrawlResult full = crawler.Crawl(&server, options);
+    EXPECT_TRUE(full.status.ok());
+    EXPECT_GT(log->commits(), 20u);
+
+    std::shared_ptr<CrawlState> replayed;
+    EXPECT_TRUE(LoadCheckpointFile(path, data.schema(), &replayed).ok());
+    if (replayed != nullptr) {
+      EXPECT_TRUE(replayed->Finished());
+      EXPECT_EQ(replayed->queries_issued, full.queries_issued);
+      EXPECT_TRUE(Dataset::MultisetEquals(replayed->extracted, data));
+    }
+    return total;
+  };
+  const uint64_t unrotated = written(UINT64_MAX);
+  const uint64_t rotated = written(1);
+  EXPECT_LE(rotated, 3 * unrotated)
+      << "rotated " << rotated << " bytes, unrotated " << unrotated;
+  std::remove(path.c_str());
 }
 
 TEST(FrontierLogTest, MissingLogIsNotFound) {

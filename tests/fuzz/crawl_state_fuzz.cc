@@ -1,7 +1,8 @@
 // Copyright (c) hdc authors. Apache-2.0 license.
 //
 // Fuzz harness for the one crawl-state reader (core/checkpoint.h) — the
-// surface a damaged or hostile file on disk controls. Every input is loaded
+// surface a damaged or hostile file on disk controls: checkpoints, session
+// checkpoints, frontier logs and delta-crawl records. Every input is loaded
 // against three schemas (mixed, all-numeric, all-categorical), once as a
 // plain checkpoint or frontier log and once with the session record
 // required.
@@ -14,8 +15,8 @@
 //     run `crawl_state_fuzz -runs=N crawl_state_corpus/` for a bounded smoke;
 //   - any compiler: standalone driver replaying corpus files/dirs, which is
 //     the tier-1 `crawl_state_fuzz_replay` ctest; `--generate DIR` rebuilds
-//     the seed corpus from SaveCheckpoint, SaveSessionCheckpoint and
-//     multi-round FrontierLogWriter round-trips.
+//     the seed corpus from SaveCheckpoint, SaveSessionCheckpoint,
+//     multi-round FrontierLogWriter and BuildCrawlRecord round-trips.
 
 #include <cstdint>
 #include <memory>
@@ -130,6 +131,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 #include <iostream>
 
 #include "core/crawlers.h"
+#include "core/delta_crawl.h"
 #include "core/frontier_log.h"
 #include "core/session_checkpoint.h"
 #include "replay_driver.h"
@@ -176,6 +178,24 @@ std::string WithLineTail(std::string text, const std::string& tag,
   return text.replace(from, text.find('\n', from) - from, tail);
 }
 
+/// Writes a hostile seed after checking that it fails typed against
+/// `schema`.
+void WriteRejectedSeed(const fs::path& dir, const std::string& name,
+                       const std::string& bytes, const SchemaPtr& schema) {
+  std::istringstream in(bytes);
+  std::shared_ptr<CrawlState> state;
+  HDC_CHECK(hdc::LoadCheckpoint(&in, schema, &state).IsInvalidArgument());
+  WriteSeed(dir, name, bytes);
+}
+
+/// The saved record of a full delta-crawl partition of `data`.
+std::string Record(const std::shared_ptr<Dataset>& data) {
+  hdc::LocalServer server(data, KFor(*data));
+  hdc::CrawlRecord record;
+  HDC_CHECK_OK(hdc::BuildCrawlRecord(&server, &record));
+  return Checkpoint(record);
+}
+
 /// A full crawl of `data` written through a frontier log: one snapshot,
 /// then one round record per commit.
 void WriteLogSeed(const fs::path& dir, const std::string& name,
@@ -196,10 +216,12 @@ void WriteLogSeed(const fs::path& dir, const std::string& name,
 
 /// Seeds are Save* round-trips of mid-crawl states of every crawler family
 /// the three schemas admit (eager slice-cover stopped inside its up-front
-/// slice pass), plus the two hostile counts that once aborted the process
-/// (a seen-row count and a slice-bag count of 2^62), a rank-shrink
-/// checkpoint in the retired `q` frontier grammar and an eager checkpoint
-/// with the retired pass cursor.
+/// slice pass) and of delta-crawl records, plus the hostile counts that
+/// once aborted the process (a seen-row count, a slice-bag count and a
+/// record region's bag count of 2^62), a rank-shrink checkpoint in the
+/// retired `q` frontier grammar, an eager checkpoint with the retired pass
+/// cursor, and records with an unparsable version and with a tuple that no
+/// longer matches its region's hash.
 int Generate(const std::string& dir_arg) {
   const fs::path dir(dir_arg);
   fs::create_directories(dir);
@@ -268,22 +290,38 @@ int Generate(const std::string& dir_arg) {
        at = q_grammar.find(item, at)) {
     q_grammar.replace(at, item.size(), "\nq ");
   }
-  std::istringstream q_in(q_grammar);
-  std::shared_ptr<CrawlState> q_state;
-  HDC_CHECK(hdc::LoadCheckpoint(&q_in, NumericData()->schema(), &q_state)
-                .IsInvalidArgument());
-  WriteSeed(dir, "regression_q_grammar", q_grammar);
+  WriteRejectedSeed(dir, "regression_q_grammar", q_grammar,
+                    NumericData()->schema());
 
   // The same stop as the eager pass once wrote it, with a resume cursor,
   // must fail typed too.
   std::string cursor = preprocessing;
   cursor.insert(cursor.find("eager 1\n") + 8, "predone 0\nprecursor 1 3\n");
-  std::istringstream cursor_in(cursor);
-  std::shared_ptr<CrawlState> cursor_state;
-  HDC_CHECK(hdc::LoadCheckpoint(&cursor_in, CategoricalData()->schema(),
-                                &cursor_state)
-                .IsInvalidArgument());
-  WriteSeed(dir, "regression_eager_cursor", cursor);
+  WriteRejectedSeed(dir, "regression_eager_cursor", cursor,
+                    CategoricalData()->schema());
+
+  const std::string record = Record(NumericData());
+  WriteSeed(dir, "record_numeric", record);
+  WriteSeed(dir, "record_categorical", Record(CategoricalData()));
+  WriteSeed(dir, "record_mixed", Record(MixedData()));
+  WriteRejectedSeed(dir, "regression_record_version",
+                    WithLineTail(record, "\nversion ", "abc"),
+                    NumericData()->schema());
+  // The first region keeps its hash and extents but claims 2^62 bag lines.
+  const size_t region = record.find("\nregion ") + 8;
+  const size_t hash_end = record.find(' ', region);
+  std::string bag_count = record;
+  bag_count.replace(hash_end + 1,
+                    record.find(' ', hash_end + 1) - hash_end - 1, huge);
+  WriteRejectedSeed(dir, "regression_record_bag_count", bag_count,
+                    NumericData()->schema());
+  // The first bag line's first value moves by one: its region's hash no
+  // longer matches.
+  std::string tampered = record;
+  const size_t value = tampered.find(' ', tampered.find("\nbag ") + 5) + 1;
+  tampered[value] = tampered[value] == '0' ? '1' : '0';
+  WriteRejectedSeed(dir, "regression_record_hash", tampered,
+                    NumericData()->schema());
 
   std::cout << "crawl_state_fuzz: wrote seed corpus to " << dir << "\n";
   return 0;

@@ -151,9 +151,11 @@ void RunGeneration(const KillCase& test_case, const std::string& log_path,
   // Survived every kill point: report the finished crawl.
   std::ostringstream out;
   out << result.queries_issued << "\n" << result.extracted.size() << "\n";
+  std::string line;
   for (const Tuple& t : result.extracted.tuples()) {
-    EncodeTupleTokens(t, &out);
-    out << "\n";
+    line.clear();
+    AppendTupleTokens(t, &line);
+    out << line << "\n";
   }
   std::string billed = std::to_string(server.queries_served()) + "\n";
   if (!WriteFileDurably(billed_path, billed).ok()) _exit(kExitError);

@@ -35,6 +35,11 @@ Rules
                      core/crawl_context.*: the frontier driver is the one
                      round loop, so round sizing and the frontier-log commit
                      at each round boundary stay one edit.
+  crawl-issue        in src/core and src/analytics, Issue( / IssueBatch(
+                     appear only in core/frontier.cc, core/crawl_context.*
+                     and the two pre-crawl probes (core/domain_discovery.cc,
+                     core/size_estimator.cc): every crawl asks its queries
+                     through the frontier driver.
 
 Exit status: 0 clean, 1 violations found, 2 usage error.
 """
@@ -88,6 +93,14 @@ ROUND_ALLOWLIST = {
     "src/core/crawl_context.cc",
 }
 
+# Files in src/core and src/analytics allowed to call a server's Issue or
+# IssueBatch: the frontier driver, the context it issues through, and the
+# probes that run before any crawl.
+ISSUE_ALLOWLIST = ROUND_ALLOWLIST | {
+    "src/core/domain_discovery.cc",
+    "src/core/size_estimator.cc",
+}
+
 CLOCK_RE = re.compile(
     r"\b(?:steady_clock|system_clock|high_resolution_clock)\s*::\s*now\b"
     r"|\bsleep_for\s*\(|\bsleep_until\s*\(")
@@ -96,6 +109,7 @@ MUTEX_RE = re.compile(
     r"\bstd\s*::\s*(?:mutex|shared_mutex|timed_mutex|recursive_mutex|"
     r"condition_variable(?:_any)?|lock_guard|unique_lock|scoped_lock)\b")
 ROUND_RE = re.compile(r"\bRoundSize\s*\(")
+ISSUE_CALL_RE = re.compile(r"\bIssue(?:Batch)?\s*\(")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
 # A function (or method) declared/defined as returning Status by value.
@@ -328,6 +342,11 @@ def run(root):
                            "round-boundary",
                            "a round loop outside the frontier driver",
                            findings)
+        if layer_of(rel) in ("core", "analytics"):
+            check_pattern_rule(rel, lines, ISSUE_CALL_RE, ISSUE_ALLOWLIST,
+                               "crawl-issue",
+                               "a query issued outside the frontier driver",
+                               findings)
         check_includes(rel, raw.split("\n"), lines, findings)
         check_status_discard(rel, lines, status_names, findings)
         check_issue_override(rel, stripped, findings)

@@ -211,6 +211,24 @@ def main():
          "src/core/ok.h": "// The driver calls RoundSize(width) per round.\n"},
         [])
 
+    # --- crawl-issue --------------------------------------------------------
+    scenario(
+        "crawl-issue: a crawl loop calling the server directly",
+        {"src/core/delta_crawl.cc":
+         "Status Pass(HiddenDbServer* server) {\n"
+         "  HDC_RETURN_IF_ERROR(server->Issue(q, &response));\n"
+         "}\n"},
+        ["crawl-issue"])
+    scenario(
+        "crawl-issue: the driver, a probe and other layers are fine",
+        {"src/core/frontier.cc":
+         "void Run() { outcomes = ctx->IssueBatch(queries, &responses); }\n",
+         "src/core/domain_discovery.cc":
+         "Status Probe() { return server->Issue(query, &response); }\n",
+         "src/server/decorators.h":
+         "Status F() { return base_->IssueBatch(queries, responses); }\n"},
+        [])
+
     # --- multi-rule tree ----------------------------------------------------
     scenario(
         "all five rules fire together",
